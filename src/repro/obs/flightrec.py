@@ -34,10 +34,11 @@ Dump format (one JSON object)::
       ]
     }
 
-Each process records into its own recorder; the ring engine's workers
-ship their spans back with every completed band (the normal telemetry
-delta channel), so the parent-side recorder also holds the last spans
-of a worker that subsequently dies.
+Each process records into its own recorder; the stream engine's workers
+(ring and serve broker alike) ship their spans back with every
+completed band (the normal telemetry delta channel), so the
+parent-side recorder also holds the last spans of a worker that
+subsequently dies.
 """
 
 from __future__ import annotations
@@ -119,8 +120,12 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def dump(self, reason: str, error: BaseException | str | None = None,
-             directory: str | None = None) -> str:
+             directory: str | None = None, event: dict | None = None) -> str:
         """Write the ring to a timestamped JSON file; returns its path.
+
+        ``event`` (fields including ``kind``) is recorded first, under
+        the same lock as the snapshot, so the dump ends with the event
+        that caused it even while other threads keep recording.
 
         Never raises on I/O problems — a failing dump must not mask the
         crash being reported — an empty string is returned instead.
@@ -130,6 +135,9 @@ class FlightRecorder:
         name = f"repro-flightrec-{os.getpid()}-{stamp}-{int(now * 1e6) % 1000000:06d}.json"
         path = os.path.join(directory or self.directory, name)
         with self._lock:
+            if event is not None:
+                self._events.append({"t": now, **event})
+                self._recorded += 1
             payload = {
                 "reason": reason,
                 "error": str(error) if error is not None else None,

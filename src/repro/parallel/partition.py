@@ -11,17 +11,26 @@ classic decompositions are provided:
 - :func:`row_bands_weighted` — contiguous bands balanced by a per-row
   cost estimate instead of row count (Section 4's answer to the
   out-of-FOV imbalance).
+
+:func:`plan_bands` cuts the streaming engines' band work items.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PartitionError
+from ..errors import PartitionError, ScheduleError
 
-__all__ = ["Tile", "row_bands", "blocks", "row_bands_weighted", "tile_weights"]
+__all__ = ["Tile", "row_bands", "blocks", "row_bands_weighted", "tile_weights",
+           "plan_bands", "RING_SCHEDULES"]
+
+#: band-scheduling policies the streaming engines execute
+#: (schedule.simulate models the same three; ``static_cyclic`` is
+#: meaningless on a shared queue).
+RING_SCHEDULES = ("static", "dynamic", "guided")
 
 
 @dataclass(frozen=True)
@@ -150,3 +159,47 @@ def row_bands_weighted(valid_mask: np.ndarray, count: int, base_cost: float = 0.
         remaining -= float(row_cost[row:row + h].sum())
         row += h
     return tiles
+
+
+def plan_bands(height: int, workers: int, schedule: str = "dynamic",
+               chunk: int | None = None):
+    """Cut ``height`` output rows into ``(row0, row1)`` work items.
+
+    All policies execute on the shared work queue (workers pull the
+    next item when free); the policy chooses granularity:
+
+    ``static``
+        One contiguous band per worker — the fork-join executors'
+        layout, kept for apples-to-apples comparisons.
+    ``dynamic``
+        Fixed ``chunk``-row bands (default ``height // (8 * workers)``,
+        at least 1): many small units, best balance on skewed maps.
+    ``guided``
+        Geometrically shrinking bands, ``max(chunk, remaining / (2 *
+        workers))`` rows each — fewer dispatches than ``dynamic`` with
+        nearly its balance (the same formula
+        :func:`repro.parallel.schedule.simulate` replays).
+    """
+    if height < 1:
+        raise ScheduleError(f"height must be >= 1, got {height}")
+    if workers < 1:
+        raise ScheduleError(f"workers must be >= 1, got {workers}")
+    if schedule not in RING_SCHEDULES:
+        raise ScheduleError(
+            f"unknown ring schedule {schedule!r}; known: {RING_SCHEDULES}")
+    if schedule == "static":
+        return [(t.row0, t.row1) for t in row_bands(height, 1, workers)]
+    if chunk is None:
+        chunk = max(1, height // (8 * workers))
+    if chunk < 1:
+        raise ScheduleError(f"chunk must be >= 1, got {chunk}")
+    if schedule == "dynamic":
+        return [(r0, min(r0 + chunk, height)) for r0 in range(0, height, chunk)]
+    bands = []
+    row, remaining = 0, height
+    while row < height:
+        size = min(max(chunk, math.ceil(remaining / (2 * workers))), height - row)
+        bands.append((row, row + size))
+        row += size
+        remaining -= size
+    return bands

@@ -390,19 +390,20 @@ def attach_tables(spec, meta):
 
 
 def attach_planar_tables(spec, meta):
-    """Attach a planar publication: both LUTs from one spec.
+    """Attach a publication as its per-plane LUT tuple.
 
-    Returns ``(segments, luts)`` where ``luts`` is the per-plane LUT
-    tuple matching ``meta["pixfmt"]``: for ``"yuv420"`` (the default)
+    Returns ``(segments, luts)`` where ``luts`` matches
+    ``meta["pixfmt"]``: for ``"yuv420"`` (the default)
     ``(luma, chroma, chroma)`` in :data:`~repro.video.yuv.PLANE_NAMES`
     order, for ``"nv12"`` ``(luma, chroma)`` in
     :data:`~repro.video.yuv.NV12_PLANE_NAMES` order — the single
     chroma LUT serves the interleaved UV plane as one 2-channel apply.
+    A publication without chroma tables yields the one-plane ``(lut,)``.
     """
-    if "chroma" not in meta:
-        raise ValueError("spec/meta carry no chroma publication")
     segments = []
     _, luma = _attach_lut(spec, meta, segments)
+    if "chroma" not in meta:
+        return segments, (luma,)
     _, chroma = _attach_lut(spec, meta["chroma"], segments, _CHROMA_PREFIX)
     if meta.get("pixfmt", "yuv420") == "nv12":
         return segments, (luma, chroma)

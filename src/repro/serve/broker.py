@@ -1,46 +1,81 @@
-"""Multi-stream correction broker: N streams, one worker fleet.
+"""The stream engine: sessions of frames over one persistent worker fleet.
 
-The ring engine (:mod:`repro.parallel.ring`) corrects exactly one
-stream per worker fleet.  Production hosts serve many cameras at once
-— the multi-video batch workflows and the real-time multi-feed
-constraints in PAPERS.md — so this module multiplexes *sessions* onto
-one pool of persistent band workers:
+The paper's frame-level speedup comes from double buffering — frame
+*k+1* moves while frame *k* computes.  This module is the one engine
+that does it.  :class:`StreamBroker` owns a pool of persistent band
+workers and multiplexes admitted *sessions* onto it; the single-stream
+:class:`~repro.parallel.ring.RingEngine` is the same broker running one
+session per stream.
 
-- :class:`StreamBroker` owns the fleet.  Each admitted session gets a
-  private ring of ``depth`` shared-memory frame slots; **admission
-  control** caps the total slots across sessions at a configurable
-  ``slot_budget``, so one host's memory/latency envelope is a
-  parameter, not an accident.
-- A per-session **feeder thread** decodes frames into free slots —
-  when a session's consumer lags, its feeder blocks on its own free
-  list (**per-stream backpressure**) without slowing anyone else.
-- A single **dispatcher thread** drains the sessions' band queues in
-  **weighted round-robin** order (:class:`_FairScheduler`): every
-  scheduling turn a stream may dispatch up to ``weight`` band items,
-  so a stalled or slow stream cannot starve the others, and priority
-  streams get proportionally more of the fleet.
-- Workers attach a session's slots and LUT lazily, **cached by
-  calibration key** — sessions sharing a calibration share one
+- Each admitted session gets a private ring of ``depth`` shared-memory
+  frame slots; **admission control** caps the total slots across
+  sessions at a configurable ``slot_budget``, so one host's
+  memory/latency envelope is a parameter, not an accident.
+- A per-session **feeder thread** copies frames into free slots — when
+  a session's consumer lags, its feeder blocks on its own free list
+  (**per-stream backpressure**) without slowing anyone else — and
+  submits each frame's band work items.
+- Band items wait in per-session queues drained in **weighted
+  round-robin** order (:class:`_FairScheduler`): the feeders and the
+  collector move them into the fleet queue whenever fewer than
+  ``max_inflight_bands`` are outstanding, so a stalled or slow stream
+  cannot starve the others and priority streams get proportionally
+  more of the fleet.
+- One worker function, :func:`_worker_main`, serves every session.  It
+  attaches a session's slots and tables lazily, caching tables by the
+  :class:`~repro.video.frameplan.FramePlan` publication key — sessions
+  sharing a calibration share one
   :class:`~repro.parallel.shmseg.SharedTables` publication (fed from
   one single-flight :class:`~repro.core.lutcache.LUTCache`), attached
-  once per worker.
+  once per worker.  A band that raises posts its exception type and
+  message back, and the session fails with a
+  :class:`~repro.errors.StreamError` naming the worker, the band and
+  the cause.
 - A **collector thread** routes band completions back to sessions;
   each :class:`StreamSession` yields its frames **strictly in input
   order** no matter how the fleet interleaved the bands.
 
-Telemetry: next to the aggregate ``stream.*`` series the broker emits
-per-stream labelled series (``stream.frames{stream="cam0"}``,
-``frame.e2e_latency_seconds{stream="cam0"}``,
-``stream.deadline_miss{stream="cam0"}`` — see
-:func:`repro.obs.export.labeled`) plus fleet-level ``serve.*``
-counters/gauges, all scrapeable live from a
-:class:`~repro.obs.live.MetricsServer`.
+Every session's plane set — per-plane tables, slot shapes and band
+work items — comes from its :class:`~repro.video.frameplan.FramePlan`.
+
+Telemetry, with ``<ns>`` = ``serve`` for the broker and ``ring`` for
+the ring engine:
+
+- workers: ``<ns>.bands`` (plus ``<ns>.bands{plane="..."}`` on planar
+  sessions), ``<ns>.band_seconds``,
+  ``<ns>.worker.<rank>.busy_seconds`` and ``<ns>.band`` spans on
+  ``<ns>-worker-<rank>`` tracks;
+- feeders: ``<ns>.frames``, ``<ns>.slot_wait_seconds``,
+  ``<ns>.in_flight`` and ``<ns>.decode`` spans; the collector:
+  ``<ns>.deliver_wait_seconds`` and ``<ns>.deliver`` spans;
+- delivery: ``frame.e2e_latency_seconds`` (hand-over to delivery),
+  ``stream.deadline_miss`` against the session's ``deadline_s`` and
+  one ``frame.lifecycle`` span per frame on the ``<ns>-frames`` track.
+  Broker sessions also count ``stream.frames`` and the per-stream
+  labelled series (``stream.frames{stream="cam0"}``,
+  ``frame.e2e_latency_seconds{stream="cam0"}``,
+  ``stream.deadline_miss{stream="cam0"}``, ``<ns>.in_flight{stream=
+  "cam0"}`` — see :func:`repro.obs.export.labeled`);
+- fleet: ``<ns>.workers`` / ``<ns>.slot_budget`` /
+  ``<ns>.active_streams`` / ``<ns>.slots_used`` gauges and
+  ``<ns>.sessions`` / ``<ns>.admission_rejects`` counters.
+
+All of it is scrapeable live from a
+:class:`~repro.obs.live.MetricsServer`.  A
+:class:`~repro.obs.flightrec.FlightRecorder` keeps the last decode,
+band and delivery events plus the spans workers ship back; when a
+worker dies it is dumped to a JSON file whose path travels on
+:attr:`~repro.errors.StreamError.flight_dump`.  A session with a
+``stall_timeout_s`` (the ring's watchdog) counts ``stream.stalls`` and
+dumps the recorder when bands are outstanding but none has completed
+for that long.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
+import pickle
 import queue as _queue
 import threading
 import time
@@ -49,13 +84,13 @@ from collections import deque
 import numpy as np
 
 from ..core.image import Frame
-from ..core.kernel_tiers import resolve_tier
 from ..core.lutcache import LUTCache
 from ..errors import AdmissionError, ScheduleError, StreamError
 from ..obs.export import labeled
+from ..obs.flightrec import FlightRecorder
 from ..obs.logsetup import get_logger
 from ..obs.telemetry import get_telemetry
-from ..parallel.ring import plan_bands
+from ..video.frameplan import PIXFMTS, FramePlan
 
 __all__ = ["StreamBroker", "StreamSession", "DEFAULT_SLOT_BUDGET"]
 
@@ -65,7 +100,7 @@ log = get_logger(__name__)
 #: every admitted session's ``depth`` may not exceed it.
 DEFAULT_SLOT_BUDGET = 16
 
-#: queue poll interval (seconds) shared by all broker threads.
+#: queue poll interval (seconds) shared by all engine threads.
 _POLL_S = 0.2
 
 
@@ -136,124 +171,116 @@ class _FairScheduler:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
+def _close_segments(segments) -> None:
+    for shm in segments:
+        try:
+            shm.close()
+        except Exception:  # pragma: no cover - already closed
+            pass
+
+
+def _worker_main(rank, ns, task_q, done_q, ctrl_q, telemetry_enabled):
     """Fleet worker: pull ``(sid, seq, slot, plane, row0, row1, desc)``.
 
-    Unlike the single-stream ring worker, attachments are *lazy and
-    cached*: the first band of a session attaches its slots (and its
-    LUT tables — cached by calibration key, so sessions sharing one
-    calibration attach the tables once).  Planar (yuv420/nv12)
-    sessions publish a chroma LUT next to the luma one; the worker
-    detects it from the table metadata, indexes both slot views and
-    LUTs by the band's ``plane``, and labels its spans with the
-    publication's plane names (``y``/``u``/``v`` or ``y``/``uv``).
+    Attachments are lazy and cached: the first band of a session maps
+    its slots, and its tables unless a session with the same
+    publication key already did (``desc`` is the pickled ``(key,
+    label, table_spec, table_meta, slot_specs)``, unpickled only on
+    attach).  A planar publication
+    yields one LUT per plane and labels the band spans and
+    ``<ns>.bands{plane=...}`` counters with the plane names.
     ``ctrl_q`` broadcasts ``("forget", sid)`` when a session closes so
-    the worker drops its mappings; a band whose segments are already
-    gone posts ``rows=-1`` and the collector decides whether anyone
-    still cares.
+    the worker drops its slot mappings.
+
+    Every band posts ``(sid, seq, slot, rows, rank, telemetry_delta,
+    error)``.  A band that raised — a kernel fault, or segments already
+    unlinked under a closed session — posts ``rows=-1`` and ``error =
+    (where, cause)`` naming the plane and rows and the exception type
+    and message; the collector decides whether anyone still cares.
     """
     from ..parallel.shmseg import (attach_any_slot, attach_planar_tables,
-                                   attach_tables, init_worker_telemetry,
-                                   worker_delta)
+                                   init_worker_telemetry, worker_delta)
     from ..video.yuv import plane_names_for
 
     init_worker_telemetry(telemetry_enabled)
-    luts: dict = {}      # lut_key -> (segments, per-plane lut tuple, names)
-    sessions: dict = {}  # sid -> (segments, slots, plane luts, label, names)
-    track = f"serve-worker-{rank}"
+    tables: dict = {}    # key -> (segments, per-plane luts, plane labels)
+    sessions: dict = {}  # sid -> (segments, slots, table entry, label)
+    track = f"{ns}-worker-{rank}"
+
+    def attach(sid, desc):
+        key, label, table_spec, table_meta, slot_specs = pickle.loads(desc)
+        entry = tables.get(key)
+        if entry is None:
+            segs, luts = attach_planar_tables(table_spec, table_meta)
+            planes = None
+            if "chroma" in table_meta:
+                planes = [(n, labeled(f"{ns}.bands", plane=n))
+                          for n in plane_names_for(table_meta["pixfmt"])]
+            entry = tables[key] = (segs, luts, planes)
+        slot_segs, slots = [], []
+        for spec in slot_specs:
+            segs, srcs, dsts = attach_any_slot(spec)
+            slot_segs += segs
+            slots.append((srcs, dsts))
+        sessions[sid] = (slot_segs, slots, entry, label)
+        return sessions[sid]
 
     def forget(sid):
         entry = sessions.pop(sid, None)
-        if entry is None:
-            return
-        for shm in entry[0]:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - already closed
-                pass
+        if entry is not None:
+            _close_segments(entry[0])
 
     try:
         while True:
             while True:  # drain control messages first
                 try:
-                    kind, sid = ctrl_q.get_nowait()
+                    _, sid = ctrl_q.get_nowait()
                 except _queue.Empty:
                     break
-                if kind == "forget":
-                    forget(sid)
+                forget(sid)
             try:
                 item = task_q.get(timeout=_POLL_S)
             except _queue.Empty:
                 continue
             if item is None:
                 break
-            sid, seq, slot_idx, plane, row0, row1, desc = item
+            sid, seq, slot, plane, row0, row1, desc = item
             tel = get_telemetry()
             wall0 = time.time() if tel.enabled else 0.0
             t0 = time.perf_counter() if tel.enabled else 0.0
-            rows = -1
-            delta = None
-            planar = False
-            lut = None
             try:
-                entry = sessions.get(sid)
-                if entry is None:
-                    lut_key, label, table_spec, table_meta, slot_spec = desc
-                    cached = luts.get(lut_key)
-                    if cached is None:
-                        meta = dict(table_meta)
-                        if "chroma" in meta:
-                            segs, plane_luts = attach_planar_tables(
-                                dict(table_spec), meta)
-                            names = plane_names_for(
-                                meta.get("pixfmt", "yuv420"))
-                        else:
-                            segs, _, one = attach_tables(dict(table_spec),
-                                                         meta)
-                            plane_luts = (one,)
-                            names = ("y",)
-                        cached = luts[lut_key] = (segs, plane_luts, names)
-                    slots, slot_segs = [], []
-                    for spec in slot_spec:
-                        segs, srcs, dsts = attach_any_slot(spec)
-                        slot_segs += segs
-                        slots.append((srcs, dsts))
-                    entry = sessions[sid] = (slot_segs, slots, cached[1],
-                                             label, cached[2])
-                _, slots, plane_luts, label, plane_names = entry
-                planar = len(plane_luts) > 1
-                srcs, dsts = slots[slot_idx]
-                lut = plane_luts[plane]
+                _, slots, (_, luts, planes), label = (sessions.get(sid)
+                                                      or attach(sid, desc))
+                srcs, dsts = slots[slot]
+                lut = luts[plane]
                 lut.apply_rows_into(srcs[plane], row0, row1,
                                     dsts[plane][row0:row1])
-                rows = row1 - row0
-            except Exception:
-                # session torn down under us (or a real kernel fault):
-                # report the failed band; the collector ignores it when
-                # the session is already gone.
+            except Exception as exc:
                 forget(sid)
-            if tel.enabled and rows >= 0:
+                done_q.put((sid, seq, slot, -1, rank, None,
+                            (f"plane {plane}, rows {row0}-{row1}",
+                             f"{type(exc).__name__}: {exc}")))
+                continue
+            delta = None
+            if tel.enabled:
                 dt = time.perf_counter() - t0
-                tel.counter("serve.bands").inc()
-                tel.counter(f"serve.worker.{rank}.busy_seconds").inc(dt)
-                tel.histogram("serve.band_seconds").observe(dt)
-                args = {"frame_id": seq, "stream": label,
-                        "rows": rows, "tier": lut.tier}
-                if planar:
-                    args["plane"] = plane_names[plane]
-                tel.add_span("serve.band", wall0, dt, cat="serve", tid=track,
+                tel.counter(f"{ns}.bands").inc()
+                tel.counter(f"{ns}.worker.{rank}.busy_seconds").inc(dt)
+                tel.histogram(f"{ns}.band_seconds").observe(dt)
+                args = {"frame_id": seq, "rows": row1 - row0,
+                        "tier": lut.tier}
+                if label is not None:
+                    args["stream"] = label
+                if planes:
+                    args["plane"] = planes[plane][0]
+                    tel.counter(planes[plane][1]).inc()
+                tel.add_span(f"{ns}.band", wall0, dt, cat=ns, tid=track,
                              args=args)
                 delta = worker_delta()
-            done_q.put((sid, seq, slot_idx, rows, rank, delta))
+            done_q.put((sid, seq, slot, row1 - row0, rank, delta, None))
     finally:
-        for sid in list(sessions):
-            forget(sid)
-        for segs, _, _ in luts.values():
-            for shm in segs:
-                try:
-                    shm.close()
-                except Exception:  # pragma: no cover
-                    pass
+        for entry in list(sessions.values()) + list(tables.values()):
+            _close_segments(entry[0])
 
 
 # ----------------------------------------------------------------------
@@ -262,19 +289,21 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
 class StreamSession:
     """One admitted stream: iterate it for strictly in-order frames.
 
-    Created by :meth:`StreamBroker.open` — not directly.  The session
-    is an iterator (and context manager); ``close()`` releases its
-    slots back to the broker's budget immediately.  With ``copy=True``
-    (the default — the safe mode when several threads drain several
-    sessions) every yielded frame owns its data; ``copy=False`` yields
-    zero-copy views of the session's slot buffers that are recycled
-    when the consumer advances.
+    Created by :meth:`StreamBroker.open` (and per stream by
+    :meth:`~repro.parallel.ring.RingEngine.stream`) — not directly.
+    The session is an iterator (and context manager); ``close()``
+    releases its slots back to the broker's budget immediately.  With
+    ``copy=True`` (the broker default — the safe mode when several
+    threads drain several sessions) every yielded frame owns its data;
+    ``copy=False`` yields zero-copy views of the session's slot buffers
+    that are recycled when the consumer advances.
     """
 
     def __init__(self, broker: "StreamBroker", sid: int, name: str,
-                 source, depth: int, weight: int, copy: bool,
-                 deadline_s, bands, slots, desc, empty: bool = False,
-                 pixfmt: str = "rgb"):
+                 source, plan: FramePlan, slots, depth: int, *,
+                 weight: int = 1, copy: bool = True, deadline_s=None,
+                 stall_timeout_s=None, label: str | None = None,
+                 owns_slots: bool = True):
         self.broker = broker
         self.sid = sid
         self.name = name
@@ -282,18 +311,20 @@ class StreamSession:
         self.weight = weight
         self.copy = copy
         self.deadline_s = deadline_s
+        self.stall_timeout_s = stall_timeout_s
         self.delivered = 0
-        self.pixfmt = pixfmt
+        #: high-water mark of simultaneously occupied slots
+        self.max_in_flight = 0
         self._source = source
-        self._bands = bands
+        self._plan = plan
         self._slots = slots
-        self._desc = desc
-        self._planar = bool(slots) and hasattr(slots[0], "plane_shapes")
-        if self._planar:
-            from ..video.yuv import NV12Frame, YUV420Frame
-            self._frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-        else:
-            self._frame_cls = None
+        self._bands = plan.bands(broker.workers, broker.schedule, broker.chunk)
+        self._owns_slots = owns_slots
+        self._label = label
+        self._desc = None  # pickled worker attach recipe, set on admission
+        ns = broker._ns
+        self._in_flight_name = (labeled(f"{ns}.in_flight", stream=label)
+                                if label else f"{ns}.in_flight")
         self._cond = threading.Condition()
         self._free: _queue.Queue = _queue.Queue()
         for i in range(len(slots)):
@@ -301,28 +332,29 @@ class StreamSession:
         self._pending = [0] * len(slots)      # outstanding bands per slot
         self._slot_items = [None] * len(slots)
         self._completed: dict = {}            # seq -> slot
-        self._decode_t0: dict = {}            # seq -> decode wall time
-        self._produced = 0 if empty else None
+        self._decode_t0: dict = {}            # seq -> hand-over wall time
+        self._produced = None
         self._error: BaseException | None = None
         self._closed = False
         self._next_seq = 0
         self._held_slot = None
         self._feeder = None
-        self._empty = empty
         self._exhausted = False
+        self._last_progress = time.monotonic()  # watchdog: last completion
+        self._stalled = False                   # one warning+dump per episode
 
     def _start(self) -> None:
         """Launch the feeder — only after the broker has registered the
         session (scheduler + routing map), else early bands are lost."""
-        if self._empty or self._feeder is not None:
-            return
         self._feeder = threading.Thread(
-            target=self._feed, name=f"serve-feed-{self.name}", daemon=True)
+            target=self._feed, name=f"{self.broker._ns}-feed-{self.name}",
+            daemon=True)
         self._feeder.start()
 
     # -- feeder thread -------------------------------------------------
     def _feed(self):
         broker = self.broker
+        tel, ns = broker._tel, broker._ns
         seq = 0
         it = iter(self._source)
         try:
@@ -331,31 +363,18 @@ class StreamSession:
                     item = next(it)
                 except StopIteration:
                     break
-                t_dec = time.time()
+                t_dec = time.time()  # frame handed over: latency starts
+                t0 = time.perf_counter()
+                planes = self._plan.planes_of(item)
                 slot0 = self._slots[0]
-                if self._planar:
-                    if not isinstance(item, self._frame_cls):
-                        raise ScheduleError(
-                            f"planar stream {self.name!r} expects "
-                            f"{self._frame_cls.__name__} items, "
-                            f"got {type(item).__name__}")
-                    if (item.y.shape != slot0.plane_shapes[0]
-                            or item.y.dtype != slot0.dtype):
-                        raise ScheduleError(
-                            f"stream {self.name!r} frame "
-                            f"{item.y.shape}/{item.y.dtype} does not match "
-                            f"session geometry "
-                            f"{slot0.plane_shapes[0]}/{slot0.dtype}")
-                else:
-                    data = (item.data if isinstance(item, Frame)
-                            else np.asarray(item))
-                    if (data.shape != slot0.frame_shape
-                            or data.dtype != slot0.dtype):
-                        raise ScheduleError(
-                            f"stream {self.name!r} frame "
-                            f"{data.shape}/{data.dtype} "
-                            f"does not match session geometry "
-                            f"{slot0.frame_shape}/{slot0.dtype}")
+                if (planes[0].shape != slot0.plane_shapes[0]
+                        or planes[0].dtype != slot0.dtype):
+                    raise ScheduleError(
+                        f"stream {self.name!r} frame "
+                        f"{planes[0].shape}/{planes[0].dtype} does not match "
+                        f"session geometry {slot0.plane_shapes[0]}/"
+                        f"{slot0.dtype}")
+                t1 = time.perf_counter()
                 while True:  # per-stream backpressure: block on OUR ring
                     try:
                         slot = self._free.get(timeout=_POLL_S)
@@ -363,19 +382,30 @@ class StreamSession:
                     except _queue.Empty:
                         if self._closed or broker._abort.is_set():
                             return
-                if self._planar:
-                    for view, plane in zip(self._slots[slot].src_views,
-                                           item.planes):
-                        np.copyto(view, plane)
-                else:
-                    np.copyto(self._slots[slot].src_view, data)
+                t2 = time.perf_counter()
+                for view, plane in zip(self._slots[slot].src_views, planes):
+                    np.copyto(view, plane)
+                in_flight = len(self._slots) - self._free.qsize()
                 with self._cond:
+                    if not any(self._pending):
+                        self._last_progress = time.monotonic()
                     self._pending[slot] = len(self._bands)
-                    self._slot_items[slot] = item if isinstance(item, Frame) else None
+                    self._slot_items[slot] = (item if isinstance(item, Frame)
+                                              else None)
                     self._decode_t0[seq] = t_dec
-                broker._push_bands(
-                    self.sid,
-                    [(seq, slot, p, r0, r1) for p, r0, r1 in self._bands])
+                    self.max_in_flight = max(self.max_in_flight, in_flight)
+                broker.flightrec.record("decode", stream=self.name,
+                                        frame_id=seq, slot=slot)
+                if tel.enabled:
+                    tel.counter(f"{ns}.frames").inc()
+                    tel.histogram(f"{ns}.slot_wait_seconds").observe(t2 - t1)
+                    tel.gauge(self._in_flight_name).set(in_flight)
+                    tel.add_span(f"{ns}.decode", t_dec,
+                                 time.perf_counter() - t0, cat=ns,
+                                 tid=f"{ns}-decode",
+                                 args={"frame_id": seq, "slot": slot})
+                broker._submit(self.sid, [(seq, slot, p, r0, r1)
+                                          for p, r0, r1 in self._bands])
                 seq += 1
         except BaseException as exc:  # noqa: BLE001 - re-raised by consumer
             self._fail(exc)
@@ -396,6 +426,8 @@ class StreamSession:
         with self._cond:
             if self._closed:
                 return
+            self._last_progress = time.monotonic()
+            self._stalled = False
             self._pending[slot] -= 1
             if self._pending[slot] == 0:
                 self._completed[seq] = slot
@@ -413,7 +445,6 @@ class StreamSession:
 
     def __next__(self):
         broker = self.broker
-        tel = broker._tel
         with self._cond:
             if self._exhausted:
                 raise StopIteration
@@ -434,43 +465,85 @@ class StreamSession:
                     break
                 if (self._produced is not None
                         and self._next_seq >= self._produced):
+                    self._exhausted = True
                     break
                 self._cond.wait(_POLL_S)
-            exhausted = self._next_seq not in self._completed
-            if exhausted:
-                self._exhausted = True
-            if not exhausted:
-                slot = self._completed.pop(self._next_seq)
-                if self._planar:
-                    result = self._frame_cls(*self._slots[slot].dst_views)
-                else:
-                    result = self._slots[slot].dst_view
+                self._watchdog()
+            if not self._exhausted:
+                seq = self._next_seq
+                slot = self._completed.pop(seq)
+                planes = self._slots[slot].dst_views
                 item = self._slot_items[slot]
                 if self.copy:
-                    result = result.copy()
+                    planes = tuple(p.copy() for p in planes)
                     self._recycle(slot)
                 else:
                     self._held_slot = slot
-                t_dec0 = self._decode_t0.pop(self._next_seq, None)
+                t_dec0 = self._decode_t0.pop(seq)
                 self._next_seq += 1
                 self.delivered += 1
-        if exhausted:
+        if self._exhausted:
             self.close()
             raise StopIteration
-        if t_dec0 is not None:
-            e2e = time.time() - t_dec0
-            miss = self.deadline_s is not None and e2e > self.deadline_s
-            if tel.enabled:
-                tel.counter("stream.frames").inc()
-                tel.counter(labeled("stream.frames", stream=self.name)).inc()
-                tel.histogram("frame.e2e_latency_seconds").observe(e2e)
-                tel.histogram(labeled("frame.e2e_latency_seconds",
-                                      stream=self.name)).observe(e2e)
-                if miss:
-                    tel.counter("stream.deadline_miss").inc()
-                    tel.counter(labeled("stream.deadline_miss",
-                                        stream=self.name)).inc()
-        return item.with_data(result) if item is not None else result
+        self._account(seq, slot, t_dec0)
+        return self._plan.wrap(item, planes)
+
+    def _account(self, seq, slot, t_dec0):
+        """Deadline, lineage and latency bookkeeping of one delivery."""
+        e2e = time.time() - t_dec0
+        miss = self.deadline_s is not None and e2e > self.deadline_s
+        rec = self.broker.flightrec
+        rec.record("deliver", stream=self.name, frame_id=seq, slot=slot,
+                   e2e_s=round(e2e, 6))
+        if miss:
+            rec.record("deadline_miss", stream=self.name, frame_id=seq,
+                       e2e_s=round(e2e, 6), deadline_s=self.deadline_s)
+        tel = self.broker._tel
+        if not tel.enabled:
+            return
+        tel.histogram("frame.e2e_latency_seconds").observe(e2e)
+        tel.add_span("frame.lifecycle", t_dec0, e2e, cat="frame",
+                     tid=f"{self.broker._ns}-frames",
+                     args={"frame_id": seq, "slot": slot})
+        tel.gauge(self._in_flight_name).set(
+            len(self._slots) - self._free.qsize())
+        if miss:
+            tel.counter("stream.deadline_miss").inc()
+        label = self._label
+        if label:
+            tel.counter("stream.frames").inc()
+            tel.counter(labeled("stream.frames", stream=label)).inc()
+            tel.histogram(labeled("frame.e2e_latency_seconds",
+                                  stream=label)).observe(e2e)
+            if miss:
+                tel.counter(labeled("stream.deadline_miss",
+                                    stream=label)).inc()
+
+    def _watchdog(self):
+        """Stall check (caller holds ``_cond``): bands outstanding but
+        none completed for ``stall_timeout_s`` -> count, warn, dump
+        (once per stall episode)."""
+        if self.stall_timeout_s is None or self._stalled:
+            return
+        outstanding = sum(self._pending)
+        waited_s = time.monotonic() - self._last_progress
+        if not outstanding or waited_s <= self.stall_timeout_s:
+            return
+        self._stalled = True
+        dump = self.broker.flightrec.dump(
+            "stall", error=f"no band completion for {waited_s:.2f}s "
+                           f"({outstanding} bands outstanding)",
+            event={"kind": "stall", "stream": self.name,
+                   "waited_s": round(waited_s, 3),
+                   "outstanding_bands": outstanding,
+                   "next_frame_id": self._next_seq})
+        if self.broker._tel.enabled:
+            self.broker._tel.counter("stream.stalls").inc()
+        log.warning(
+            "%s stall: no band completion for %.2fs with %d bands "
+            "outstanding (next frame %d); flight recorder dump: %s",
+            self.name, waited_s, outstanding, self._next_seq,
+            dump or "<unwritable>")
 
     def _recycle(self, slot):
         self._slot_items[slot] = None
@@ -533,7 +606,7 @@ class StreamBroker:
         the budget cannot cover another session.
     schedule, chunk:
         Band-granularity policy applied per session (see
-        :func:`repro.parallel.ring.plan_bands`).
+        :func:`repro.parallel.partition.plan_bands`).
     context:
         Multiprocessing start method (``fork`` default).
     lut_cache:
@@ -549,7 +622,12 @@ class StreamBroker:
     Telemetry is captured at construction time
     (:func:`~repro.obs.telemetry.get_telemetry`), as worker processes
     fork here — enable/scope a registry *before* building the broker.
+    A dead worker dumps the flight recorder into the system temp
+    directory.
     """
+
+    #: metric/track namespace of this front end (``ring`` for the ring)
+    _ns = "serve"
 
     def __init__(self, workers: int = 2, slot_budget: int = DEFAULT_SLOT_BUDGET,
                  schedule: str = "dynamic", chunk: int | None = None,
@@ -562,27 +640,29 @@ class StreamBroker:
         if max_inflight_bands is not None and max_inflight_bands < 1:
             raise ScheduleError(
                 f"max_inflight_bands must be >= 1, got {max_inflight_bands}")
+        ns = self._ns
         self.workers = workers
         self.slot_budget = slot_budget
         self.schedule = schedule
         self.chunk = chunk
         self.lut_cache = lut_cache if lut_cache is not None else LUTCache()
+        self.flightrec = FlightRecorder()
         self.sessions_admitted = 0
         self.admission_rejects = 0
         self._tel = get_telemetry()
         self._lock = threading.Lock()
         self._sessions: dict = {}          # sid -> StreamSession
-        self._tables: dict = {}            # lut_key -> (SharedTables, lut)
+        self._tables: dict = {}            # plan key -> (SharedTables, lut)
         self._slots_used = 0
         self._sid_gen = itertools.count()
         self._error: BaseException | None = None
         self._closed = False
         self._abort = threading.Event()
         self._sched = _FairScheduler()
-        self._sched_cond = threading.Condition()
-        self._inflight_sem = threading.Semaphore(
-            max_inflight_bands if max_inflight_bands is not None
-            else 4 * workers)
+        self._sched_lock = threading.Lock()
+        self._inflight = 0
+        self._inflight_cap = (max_inflight_bands if max_inflight_bands
+                              is not None else 4 * workers)
 
         from ..parallel.shmseg import ensure_resource_tracker
         ensure_resource_tracker()  # workers must inherit ONE tracker
@@ -590,24 +670,21 @@ class StreamBroker:
         self._task_q = ctx.Queue()
         self._done_q = ctx.Queue()
         self._ctrl_qs = [ctx.Queue() for _ in range(workers)]
-        self._tel.gauge("serve.workers").set(workers)
-        self._tel.gauge("serve.slot_budget").set(slot_budget)
-        log.debug("starting %d shared serve workers (%s, budget %d slots)",
-                  workers, context, slot_budget)
+        self._tel.gauge(f"{ns}.workers").set(workers)
+        self._tel.gauge(f"{ns}.slot_budget").set(slot_budget)
+        log.debug("starting %d %s workers (%s, budget %d slots)",
+                  workers, ns, context, slot_budget)
         self._procs = []
         for rank in range(workers):
             p = ctx.Process(
-                target=_serve_worker_main,
-                args=(rank, self._task_q, self._done_q, self._ctrl_qs[rank],
-                      self._tel.enabled),
-                daemon=True, name=f"serve-worker-{rank}")
+                target=_worker_main,
+                args=(rank, ns, self._task_q, self._done_q,
+                      self._ctrl_qs[rank], self._tel.enabled),
+                daemon=True, name=f"{ns}-worker-{rank}")
             p.start()
             self._procs.append(p)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, name="serve-dispatch", daemon=True)
         self._collector = threading.Thread(
-            target=self._collect, name="serve-collect", daemon=True)
-        self._dispatcher.start()
+            target=self._collect, name=f"{ns}-collect", daemon=True)
         self._collector.start()
 
     # ------------------------------------------------------------------
@@ -631,18 +708,19 @@ class StreamBroker:
         per-frame latency SLO counted by
         ``stream.deadline_miss{stream="<name>"}``.
 
+        The session's tables, slot shapes and band plan come from one
+        :class:`~repro.video.frameplan.FramePlan` built through the
+        broker's shared :class:`~repro.core.lutcache.LUTCache`.
         ``pixfmt="yuv420"`` admits a planar session: ``frames`` must
         yield :class:`~repro.video.yuv.YUV420Frame` items whose luma
         geometry matches ``field``; a half-resolution chroma LUT is
-        derived through the same shared
-        :class:`~repro.core.lutcache.LUTCache`, every frame is
-        scheduled as per-plane bands over the fleet, and the session
-        yields corrected :class:`YUV420Frame`\\ s with no RGB
-        conversion anywhere on the path.  ``pixfmt="nv12"`` is the
-        same planar pipeline over
-        :class:`~repro.video.yuv.NV12Frame` items — the interleaved
-        UV plane runs as one 2-channel band set (plane 1) against the
-        same half-resolution chroma tables.
+        derived through the same cache, every frame is scheduled as
+        per-plane bands over the fleet, and the session yields
+        corrected :class:`YUV420Frame`\\ s with no RGB conversion
+        anywhere on the path.  ``pixfmt="nv12"`` is the same planar
+        pipeline over :class:`~repro.video.yuv.NV12Frame` items — the
+        interleaved UV plane runs as one 2-channel band set (plane 1)
+        against the same half-resolution chroma tables.
 
         ``out_size=(width, height)`` delivers at a smaller size
         through a **fused** correct+downscale table: the area-style
@@ -652,24 +730,36 @@ class StreamBroker:
         traffic scales with the delivered size, and concurrent opens
         of the same composition build the table once.
         """
-        from ..parallel.shmseg import (FrameSegments, PlanarFrameSegments,
-                                       SharedTables)
-
         if depth < 1:
             raise ScheduleError(f"depth must be >= 1, got {depth}")
-        if pixfmt not in ("rgb", "yuv420", "nv12"):
+        if pixfmt not in PIXFMTS:
             raise ScheduleError(
-                f"unknown pixfmt {pixfmt!r}; known: rgb, yuv420, nv12")
-        planar = pixfmt in ("yuv420", "nv12")
-        if out_size is not None:
-            ow_, oh_ = int(out_size[0]), int(out_size[1])
-            if ow_ < 2 or oh_ < 2:
-                raise ScheduleError(
-                    f"out_size must be at least 2x2, got {ow_}x{oh_}")
-            if planar and (ow_ % 2 or oh_ % 2):
-                raise ScheduleError(
-                    f"planar out_size must be even, got {ow_}x{oh_}")
-        tier = resolve_tier(kernel)
+                f"unknown pixfmt {pixfmt!r}; known: {', '.join(PIXFMTS)}")
+        sid, name = self._reserve(name, depth)
+        try:
+            # single-flight shared build: concurrent opens on one
+            # calibration build (and publish) exactly once
+            plan = FramePlan.for_field(
+                field, pixfmt=pixfmt, out_size=out_size, method=method,
+                border=border, fill=fill, kernel=kernel,
+                lut_cache=self.lut_cache)
+            it = iter(frames)
+            slots = []
+            for first in it:
+                planes = plan.planes_of(first)
+                slots = plan.slots(planes[0].shape, planes[0].dtype, depth)
+                it = itertools.chain([first], it)
+                break
+            return self._admit(StreamSession(
+                self, sid, name, it, plan, slots, depth, weight=weight,
+                copy=copy, deadline_s=deadline_s, label=name))
+        except BaseException:
+            with self._lock:
+                self._slots_used -= depth
+            raise
+
+    def _reserve(self, name, depth):
+        """Book ``depth`` slots of the budget; returns ``(sid, name)``."""
         with self._lock:
             if self._closed:
                 raise ScheduleError("stream broker already closed")
@@ -680,214 +770,133 @@ class StreamBroker:
                 name = f"stream-{sid}"
             if self._slots_used + depth > self.slot_budget:
                 self.admission_rejects += 1
-                self._tel.counter("serve.admission_rejects").inc()
+                self._tel.counter(f"{self._ns}.admission_rejects").inc()
                 raise AdmissionError(
                     f"cannot admit stream {name!r}: needs {depth} slots but "
                     f"only {self.slot_budget - self._slots_used} of "
                     f"{self.slot_budget} remain "
                     f"({len(self._sessions)} active sessions)")
             self._slots_used += depth
+        return sid, name
 
-        session = None
-        try:
-            # single-flight shared build: concurrent opens on one
-            # calibration build (and publish) exactly once
-            chroma_lut = None
-            if out_size is not None:
-                from ..core.compose import downscale_field
-                fh, fw = field.shape
-                # prefilter=False: the streaming path always runs the
-                # plain 4-tap fused table (exact 2x2 box at 2:1, the
-                # headline 4K->1080p case; see docs/kernel.md).
-                outer = downscale_field(ow_, oh_, fw, fh, prefilter=False)
-                lut = self.lut_cache.get_composed(
-                    outer, field, method=method, border=border, fill=fill)
-                if planar:
-                    from ..core.mapping import chroma_half_field
-                    outer_c = downscale_field(ow_ // 2, oh_ // 2,
-                                              fw // 2, fh // 2,
-                                              prefilter=False)
-                    chroma_lut = self.lut_cache.get_composed(
-                        outer_c, chroma_half_field(field),
-                        method="bilinear", border=border, fill=128.0)
-                if tier != "numpy":
-                    lut = lut.with_tier(tier)
-                    if chroma_lut is not None:
-                        chroma_lut = chroma_lut.with_tier(tier)
-            elif planar:
-                from ..video.yuv import YUVCorrector
-                corr = YUVCorrector.from_field(
-                    field, method=method, border=border, fill=fill,
-                    lut_cache=self.lut_cache, kernel=kernel)
-                lut, chroma_lut = corr.luma_lut, corr.chroma_lut
-            else:
-                lut = self.lut_cache.get(field, method=method, border=border,
-                                         fill=fill)
-                if tier != "numpy":
-                    lut = lut.with_tier(tier)
-            lut_key = (self.lut_cache.key_for(field, method, border, fill)
-                       + f"|{tier}" + (f"|{pixfmt}" if planar else "")
-                       + (f"|fused{ow_}x{oh_}" if out_size is not None
-                          else ""))
-            it = iter(frames)
-            try:
-                first = next(it)
-            except StopIteration:
-                first = None
-            if first is None:
-                session = StreamSession(self, sid, name, iter(()), depth,
-                                        weight, copy, deadline_s,
-                                        bands=[], slots=[], desc=None,
-                                        empty=True, pixfmt=pixfmt)
-            elif planar:
-                from ..video.yuv import NV12Frame, YUV420Frame
-                frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-                if not isinstance(first, frame_cls):
-                    raise ScheduleError(
-                        f"planar stream {name!r} expects "
-                        f"{frame_cls.__name__} items, "
-                        f"got {type(first).__name__}")
-                if first.y.shape != lut.src_shape:
-                    raise ScheduleError(
-                        f"stream {name!r} luma shape {first.y.shape} does "
-                        f"not match LUT source {lut.src_shape}")
-                oh, ow = lut.out_shape
-                with self._lock:
-                    shared = self._tables.get(lut_key)
-                    if shared is None:
-                        shared = self._tables[lut_key] = (
-                            SharedTables(lut, chroma=chroma_lut,
-                                         pixfmt=pixfmt), lut)
-                tables = shared[0]
-                slots = [PlanarFrameSegments(
-                            frame_cls.plane_shapes(*first.y.shape),
-                            first.y.dtype,
-                            frame_cls.plane_shapes(oh, ow))
-                         for _ in range(depth)]
-                cchunk = (None if self.chunk is None
-                          else max(1, self.chunk // 2))
-                chroma_planes = (1,) if pixfmt == "nv12" else (1, 2)
-                bands = ([(0, r0, r1) for r0, r1 in
-                          plan_bands(oh, self.workers, self.schedule,
-                                     self.chunk)]
-                         + [(p, r0, r1) for p in chroma_planes for r0, r1 in
-                            plan_bands(oh // 2, self.workers, self.schedule,
-                                       cchunk)])
-                desc = (lut_key, name,
-                        tuple(sorted(tables.spec.items())),
-                        tuple(sorted(tables.meta.items())),
-                        tuple(s.spec for s in slots))
-            else:
-                data = (first.data if isinstance(first, Frame)
-                        else np.asarray(first))
-                if data.shape[:2] != lut.src_shape:
-                    raise ScheduleError(
-                        f"stream {name!r} frame shape {data.shape} does not "
-                        f"match LUT source {lut.src_shape}")
-                channels = data.shape[2:] if data.ndim == 3 else ()
-                out_shape = lut.out_shape + channels
-                with self._lock:
-                    shared = self._tables.get(lut_key)
-                    if shared is None:
-                        shared = self._tables[lut_key] = (SharedTables(lut), lut)
-                tables = shared[0]
-                slots = [FrameSegments(data.shape, data.dtype, out_shape)
-                         for _ in range(depth)]
-                bands = [(0, r0, r1) for r0, r1 in
-                         plan_bands(lut.out_shape[0], self.workers,
-                                    self.schedule, self.chunk)]
-                desc = (lut_key, name,
-                        tuple(sorted(tables.spec.items())),
-                        tuple(sorted(tables.meta.items())),
-                        tuple(s.spec for s in slots))
-            if session is None:
-                session = StreamSession(
-                    self, sid, name, itertools.chain([first], it), depth,
-                    weight, copy, deadline_s, bands=bands, slots=slots,
-                    desc=desc, pixfmt=pixfmt)
-        except BaseException:
-            with self._lock:
-                self._slots_used -= depth
-            raise
+    def _publish(self, plan: FramePlan):
+        """The plan's shared tables, published once per key."""
         with self._lock:
-            self._sessions[sid] = session
+            entry = self._tables.get(plan.key)
+            if entry is None:
+                entry = self._tables[plan.key] = (plan.publish(), plan.lut)
+        return entry[0]
+
+    def _admit(self, session: StreamSession) -> StreamSession:
+        """Register a reserved session and start its feeder."""
+        if session._slots:
+            tables = self._publish(session._plan)
+            # pickled once here, not with every band item
+            session._desc = pickle.dumps(
+                (session._plan.key, session._label, tables.spec, tables.meta,
+                 [s.spec for s in session._slots]))
+        with self._lock:
+            self._sessions[session.sid] = session
             self.sessions_admitted += 1
-        with self._sched_cond:
-            self._sched.add_stream(sid, weight)
+        with self._sched_lock:
+            self._sched.add_stream(session.sid, session.weight)
         session._start()  # feeder may push bands from here on
-        self._tel.gauge("serve.active_streams").set(len(self._sessions))
-        self._tel.gauge("serve.slots_used").set(self._slots_used)
-        self._tel.counter("serve.sessions").inc()
+        ns = self._ns
+        self._tel.gauge(f"{ns}.active_streams").set(len(self._sessions))
+        self._tel.gauge(f"{ns}.slots_used").set(self._slots_used)
+        self._tel.counter(f"{ns}.sessions").inc()
         log.debug("admitted stream %r (sid %d, depth %d, weight %d): "
-                  "%d/%d slots in use",
-                  name, sid, depth, weight, self._slots_used, self.slot_budget)
+                  "%d/%d slots in use", session.name, session.sid,
+                  session.depth, session.weight, self._slots_used,
+                  self.slot_budget)
         return session
 
     # ------------------------------------------------------------------
     # internals: scheduling + collection
     # ------------------------------------------------------------------
-    def _push_bands(self, sid, bands) -> None:
-        with self._sched_cond:
+    def _submit(self, sid, bands) -> None:
+        """Queue a frame's band items (feeder side) and dispatch."""
+        with self._sched_lock:
             if sid not in self._sched._queues:
                 return  # session removed while its feeder raced us
             for band in bands:
                 self._sched.push(sid, band)
-            self._sched_cond.notify_all()
+            self._pump()
 
-    def _dispatch(self):
-        while not self._abort.is_set():
-            with self._sched_cond:
-                picked = self._sched.pop()
-                if picked is None:
-                    self._sched_cond.wait(_POLL_S)
-                    continue
+    def _pump(self) -> None:
+        """Move band items into the fleet queue, in round-robin order,
+        while under the in-flight cap (caller holds ``_sched_lock``)."""
+        while self._inflight < self._inflight_cap:
+            picked = self._sched.pop()
+            if picked is None:
+                return
             sid, (seq, slot, plane, row0, row1) = picked
-            while not self._inflight_sem.acquire(timeout=_POLL_S):
-                if self._abort.is_set():
-                    return
-            with self._lock:
-                session = self._sessions.get(sid)
+            session = self._sessions.get(sid)
             if session is None or session.closed:
-                self._inflight_sem.release()
                 continue
             try:
                 self._task_q.put((sid, seq, slot, plane, row0, row1,
                                   session._desc))
             except Exception:  # pragma: no cover - queue torn down
-                self._inflight_sem.release()
                 return
+            self._inflight += 1
 
     def _collect(self):
+        tel, ns = self._tel, self._ns
         last_live_check = time.monotonic()
         while not self._abort.is_set():
+            # a dead worker must be noticed even while the healthy
+            # workers keep the completion queue busy (its in-flight
+            # band is lost, so its frame would stall forever)
+            if time.monotonic() - last_live_check > _POLL_S:
+                self._check_workers()
+                last_live_check = time.monotonic()
+            t_wait = time.time()
+            t0 = time.perf_counter()
             try:
-                sid, seq, slot, rows, rank, delta = self._done_q.get(
+                sid, seq, slot, rows, rank, delta, error = self._done_q.get(
                     timeout=_POLL_S)
             except _queue.Empty:
-                if time.monotonic() - last_live_check > _POLL_S:
-                    self._check_workers()
-                    last_live_check = time.monotonic()
                 continue
-            self._inflight_sem.release()
-            if delta and self._tel.enabled:
-                self._tel.merge(delta)
-            with self._lock:
-                session = self._sessions.get(sid)
+            with self._sched_lock:
+                self._inflight -= 1
+                self._pump()
+            rec = self.flightrec
+            rec.record("band_done", frame_id=seq, slot=slot, rows=rows,
+                       worker=rank)
+            if delta:
+                for span in delta.get("spans", ()):
+                    rec.record_span(span)
+            if tel.enabled:
+                dt = time.perf_counter() - t0
+                tel.histogram(f"{ns}.deliver_wait_seconds").observe(dt)
+                if delta:
+                    tel.merge(delta)
+                tel.add_span(f"{ns}.deliver", t_wait, dt, cat=ns,
+                             tid=f"{ns}-deliver", args={"frame_id": seq})
+            session = self._sessions.get(sid)
             if session is None:
                 continue  # closed session's stale band: nobody cares
-            if rows < 0:
+            if error is not None:
+                where, cause = error
                 session._fail(StreamError(
-                    f"band ({seq}, slot {slot}) of stream {session.name!r} "
-                    f"failed in serve-worker-{rank}"))
+                    f"band (frame {seq}, slot {slot}, {where}) of stream "
+                    f"{session.name!r} failed in {ns}-worker-{rank}: "
+                    f"{cause}"))
                 continue
             session._band_done(seq, slot)
 
     def _check_workers(self):
         for p in self._procs:
             if not p.is_alive():
-                exc = StreamError(
-                    f"{p.name} died with exit code {p.exitcode}; "
-                    f"broker shut down and all shared segments released")
+                message = f"{p.name} died with exit code {p.exitcode} mid-stream"
+                dump = self.flightrec.dump(
+                    "worker-crash", error=message,
+                    event={"kind": "worker_crash", "worker": p.name,
+                           "exitcode": p.exitcode})
+                if dump:
+                    message += f" (flight recorder dump: {dump})"
+                exc = StreamError(message, flight_dump=dump or None)
                 log.error("%s", exc)
                 self._error = exc
                 with self._lock:
@@ -907,17 +916,18 @@ class StreamBroker:
                 self._slots_used -= session.depth
         if not existed:
             return
-        with self._sched_cond:
+        with self._sched_lock:
             self._sched.remove_stream(session.sid)
         for q in self._ctrl_qs:
             try:
                 q.put(("forget", session.sid))
             except Exception:  # pragma: no cover - queue torn down
                 pass
-        for seg in session._slots:
-            seg.release()
-        self._tel.gauge("serve.active_streams").set(len(self._sessions))
-        self._tel.gauge("serve.slots_used").set(self._slots_used)
+        if session._owns_slots:
+            for seg in session._slots:
+                seg.release()
+        self._tel.gauge(f"{self._ns}.active_streams").set(len(self._sessions))
+        self._tel.gauge(f"{self._ns}.slots_used").set(self._slots_used)
 
     @property
     def slots_used(self) -> int:
@@ -954,8 +964,7 @@ class StreamBroker:
         for s in sessions:
             s.close()
         self._abort.set()
-        for t in (self._dispatcher, self._collector):
-            t.join(timeout=2.0)
+        self._collector.join(timeout=2.0)
         try:  # drop stale band items so pills are reached promptly
             while True:
                 self._task_q.get_nowait()
@@ -979,8 +988,8 @@ class StreamBroker:
         for tables, _ in self._tables.values():
             tables.release()
         self._tables.clear()
-        self._tel.gauge("serve.active_streams").set(0)
-        self._tel.gauge("serve.slots_used").set(0)
+        self._tel.gauge(f"{self._ns}.active_streams").set(0)
+        self._tel.gauge(f"{self._ns}.slots_used").set(0)
 
     def __enter__(self):
         return self

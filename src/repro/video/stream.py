@@ -8,28 +8,29 @@ while the per-stream work (map/LUT construction) is amortized, as in
 the paper's real-time scenario.
 
 :func:`corrected_stream` is the matching output side: it freezes the
-remap table once (optionally through a
+per-plane remap tables once through a
+:class:`~repro.video.frameplan.FramePlan` (optionally via a
 :class:`~repro.core.lutcache.LUTCache`, so stream *restarts* skip the
 build entirely) and then drives every frame through the fused
 :meth:`~repro.core.remap.RemapLUT.apply_into` kernel with one reused
-output buffer — the steady state performs zero per-frame allocations.
+set of output planes — the steady state performs zero per-frame
+allocations.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..errors import ImageFormatError, ScheduleError
 from ..obs.telemetry import get_telemetry
 from ..core.image import GRAY8, Frame
-from ..core.kernel_tiers import resolve_tier
 from ..core.mapping import RemapField
-from ..core.remap import RemapLUT
 from .distort import FisheyeRenderer
+from .frameplan import FramePlan
 
 __all__ = ["SyntheticStream", "panning_crops", "corrected_stream"]
 
@@ -62,17 +63,16 @@ def panning_crops(world: np.ndarray, width: int, height: int, frames: int,
 
 
 def _stream_telemetry(inner: Iterator, label: str | None = None,
-                      fused: bool = False) -> Iterator:
+                      fused: bool = False, planes: tuple = ()) -> Iterator:
     """Wrap a delegated engine with the standard stream metric surface.
 
     ``label`` additionally emits the per-stream labelled series
     (``stream.frames{stream="..."}`` etc., see
     :func:`repro.obs.export.labeled`) next to the aggregate ones;
-    planar :class:`~repro.video.yuv.YUV420Frame` /
-    :class:`~repro.video.yuv.NV12Frame` items additionally tick the
-    per-plane ``stream.frames{plane=...}`` counters (``y``/``u``/``v``
-    or ``y``/``uv``), and ``fused=True`` (a correct+downscale composed
-    table on the path) ticks ``stream.frames{fused="true"}``.
+    ``planes`` (a planar plan's plane names, ``y``/``u``/``v`` or
+    ``y``/``uv``) ticks the per-plane ``stream.frames{plane=...}``
+    counters once per frame, and ``fused=True`` (a correct+downscale
+    composed table on the path) ticks ``stream.frames{fused="true"}``.
     Closing the wrapper (consumer ``break`` / ``GeneratorExit``)
     explicitly closes ``inner`` so a delegated engine tears down even
     when the generator chain is kept alive by a reference cycle.
@@ -84,15 +84,12 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
             yield from it
             return
         from ..obs.export import labeled
-        from .yuv import NV12_PLANE_NAMES, NV12Frame, PLANE_NAMES, YUV420Frame
         frames_name = labeled("stream.frames", stream=label) if label \
             else "stream.frames"
         fps_name = labeled("stream.fps", stream=label) if label \
             else "stream.fps"
         fused_name = labeled("stream.frames", fused="true") if fused else None
-        plane_names = [labeled("stream.frames", plane=p) for p in PLANE_NAMES]
-        nv12_plane_names = [labeled("stream.frames", plane=p)
-                            for p in NV12_PLANE_NAMES]
+        plane_names = [labeled("stream.frames", plane=p) for p in planes]
         stream_t0 = time.perf_counter()
         frames_done = 0
         while True:
@@ -108,12 +105,8 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
                 tel.counter(frames_name).inc()
             if fused_name:
                 tel.counter(fused_name).inc()
-            if isinstance(item, NV12Frame):
-                for name in nv12_plane_names:
-                    tel.counter(name).inc()
-            elif isinstance(item, YUV420Frame):
-                for name in plane_names:
-                    tel.counter(name).inc()
+            for name in plane_names:
+                tel.counter(name).inc()
             tel.histogram("stream.frame_seconds").observe(now - t0)
             if now > stream_t0:
                 fps = frames_done / (now - stream_t0)
@@ -210,12 +203,12 @@ def corrected_stream(frames: Iterable, field: RemapField,
     ------
     Corrected frames, same kind as the input items.
     """
-    if pixfmt not in ("rgb", "yuv420", "nv12"):
-        raise ImageFormatError(
-            f"unknown pixfmt {pixfmt!r}; known: rgb, yuv420, nv12")
     tel = get_telemetry()
     server = None
     own_server = False
+    plan = FramePlan.for_field(field, pixfmt=pixfmt, out_size=out_size,
+                               method=method, border=border, fill=fill,
+                               kernel=kernel, lut_cache=lut_cache)
     if serve_metrics is not None:
         from ..obs.live import MetricsServer
         if isinstance(serve_metrics, MetricsServer):
@@ -227,184 +220,42 @@ def corrected_stream(frames: Iterable, field: RemapField,
                                    port=int(serve_metrics)).start()
             own_server = True
     try:
-        yield from _corrected_stream(frames, field, method, border, fill,
-                                     lut_cache, copy, engine, kernel, tel,
-                                     stream_label, pixfmt, out_size,
-                                     **engine_kwargs)
+        if engine == "ring":
+            # lazy import: keeps repro.video free of the parallel layer
+            # unless the ring engine is actually requested
+            from ..parallel.ring import ring_stream
+            if plan.planar:
+                engine_kwargs.update(chroma_lut=plan.chroma_lut,
+                                     pixfmt=pixfmt)
+            inner = ring_stream(plan.lut, frames, copy=copy, **engine_kwargs)
+        elif engine == "sync":
+            if engine_kwargs:
+                raise ScheduleError(f"engine 'sync' takes no options, got "
+                                    f"{sorted(engine_kwargs)}")
+            inner = _sync_stream(plan, frames, copy)
+        else:
+            raise ScheduleError(
+                f"unknown stream engine {engine!r}; known: sync, ring")
+        yield from _stream_telemetry(inner, label=stream_label,
+                                     fused=out_size is not None,
+                                     planes=plan.plane_names)
     finally:
         if own_server:
             server.close()
 
 
-def _fused_lut(field, out_size, method, border, fill, lut_cache):
-    """The fused correct+downscale table of the streaming hot path.
-
-    Always the plain 4-tap composed table (``prefilter=False`` —
-    exact 2x2 box at the headline 2:1 ratio), so it shares the remap
-    kernel, the shared-memory publication format and the LUT cache's
-    content-hash keying with plain tables.
-    """
-    from ..core.compose import composed_lut, downscale_field
-    fh, fw = field.shape
-    outer = downscale_field(int(out_size[0]), int(out_size[1]), fw, fh,
-                            prefilter=False)
-    return composed_lut(outer, field, method=method, border=border,
-                        fill=fill, cache=lut_cache)
-
-
-def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
-                      engine, kernel, tel, stream_label=None, pixfmt="rgb",
-                      out_size=None, **engine_kwargs):
-    if pixfmt in ("yuv420", "nv12"):
-        yield from _planar_stream(frames, field, method, border, fill,
-                                  lut_cache, copy, engine, kernel,
-                                  stream_label, pixfmt, out_size,
-                                  **engine_kwargs)
-        return
-    fused = out_size is not None
-    if fused:
-        lut = _fused_lut(field, out_size, method, border, fill, lut_cache)
-    elif lut_cache is not None:
-        lut = lut_cache.get(field, method=method, border=border, fill=fill)
-    else:
-        lut = RemapLUT(field, method=method, border=border, fill=fill)
-    tier = resolve_tier(kernel)
-    if tier != "numpy":
-        lut = lut.with_tier(tier)  # non-mutating clone; cache stays neutral
-    if engine == "ring":
-        # lazy import: keeps repro.video free of the parallel layer
-        # unless the ring engine is actually requested
-        from ..parallel.ring import ring_stream
-        yield from _stream_telemetry(
-            ring_stream(lut, frames, copy=copy, **engine_kwargs),
-            label=stream_label, fused=fused)
-        return
-    if engine != "sync":
-        raise ScheduleError(
-            f"unknown stream engine {engine!r}; known: sync, ring")
-    if engine_kwargs:
-        raise ScheduleError(
-            f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
-    buffer: Optional[np.ndarray] = None
-    stream_t0 = time.perf_counter() if tel.enabled else 0.0
-    frames_done = 0
-    frames_name = fps_name = fused_name = None
-    if tel.enabled:
-        from ..obs.export import labeled
-        if stream_label:
-            frames_name = labeled("stream.frames", stream=stream_label)
-            fps_name = labeled("stream.fps", stream=stream_label)
-        if fused:
-            fused_name = labeled("stream.frames", fused="true")
+def _sync_stream(plan, frames, copy):
+    """The inline engine: every plane through its table, pooled output."""
+    pool = None
     for item in frames:
-        t0 = time.perf_counter() if tel.enabled else 0.0
-        data = item.data if isinstance(item, Frame) else np.asarray(item)
-        shape = lut.out_shape + data.shape[2:]
-        if buffer is None or buffer.shape != shape or buffer.dtype != data.dtype:
-            buffer = np.empty(shape, dtype=data.dtype)
-        lut.apply_into(data, buffer)
-        result = buffer.copy() if copy else buffer
-        if tel.enabled:
-            now = time.perf_counter()
-            frames_done += 1
-            tel.counter("stream.frames").inc()
-            if frames_name:
-                tel.counter(frames_name).inc()
-            if fused_name:
-                tel.counter(fused_name).inc()
-            tel.histogram("stream.frame_seconds").observe(now - t0)
-            # end-to-end rate including the producer's time between frames
-            if now > stream_t0:
-                fps = frames_done / (now - stream_t0)
-                tel.gauge("stream.fps").set(fps)
-                if fps_name:
-                    tel.gauge(fps_name).set(fps)
-        if isinstance(item, Frame):
-            yield item.with_data(result)
-        else:
-            yield result
-
-
-def _planar_luts(field, method, border, fill, lut_cache, kernel, out_size):
-    """Per-plane (luma, chroma) LUTs of a planar stream.
-
-    With ``out_size`` both tables are fused correct+downscale
-    compositions built at the delivered geometry (the chroma outer map
-    is the half-resolution twin of the luma one).
-    """
-    if out_size is None:
-        from .yuv import YUVCorrector
-        corr = YUVCorrector.from_field(field, method=method, border=border,
-                                       fill=fill, lut_cache=lut_cache,
-                                       kernel=kernel)
-        return corr.luma_lut, corr.chroma_lut
-    from ..core.compose import composed_lut, downscale_field
-    from ..core.mapping import chroma_half_field
-    ow, oh = int(out_size[0]), int(out_size[1])
-    if ow % 2 or oh % 2:
-        raise ImageFormatError(
-            f"planar out_size must be even, got {ow}x{oh}")
-    fh, fw = field.shape
-    outer = downscale_field(ow, oh, fw, fh, prefilter=False)
-    outer_c = downscale_field(ow // 2, oh // 2, fw // 2, fh // 2,
-                              prefilter=False)
-    luma = composed_lut(outer, field, method=method, border=border,
-                        fill=fill, cache=lut_cache)
-    chroma = composed_lut(outer_c, chroma_half_field(field),
-                          method="bilinear", border=border, fill=128.0,
-                          cache=lut_cache)
-    tier = resolve_tier(kernel)
-    if tier != "numpy":
-        luma = luma.with_tier(tier)
-        chroma = chroma.with_tier(tier)
-    return luma, chroma
-
-
-def _planar_stream(frames, field, method, border, fill, lut_cache, copy,
-                   engine, kernel, stream_label, pixfmt="yuv420",
-                   out_size=None, **engine_kwargs):
-    """``pixfmt="yuv420"``/``"nv12"`` body: per-plane remap, no RGB leg."""
-    from .yuv import NV12Frame, YUV420Frame
-    fused = out_size is not None
-    luma_lut, chroma_lut = _planar_luts(field, method, border, fill,
-                                        lut_cache, kernel, out_size)
-    if engine == "ring":
-        from ..parallel.ring import ring_stream
-        yield from _stream_telemetry(
-            ring_stream(luma_lut, frames, copy=copy,
-                        chroma_lut=chroma_lut, pixfmt=pixfmt,
-                        **engine_kwargs),
-            label=stream_label, fused=fused)
-        return
-    if engine != "sync":
-        raise ScheduleError(
-            f"unknown stream engine {engine!r}; known: sync, ring")
-    if engine_kwargs:
-        raise ScheduleError(
-            f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
-    frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-
-    def inline():
-        pool = None
-        for item in frames:
-            if not isinstance(item, frame_cls):
-                raise ImageFormatError(
-                    f"pixfmt={pixfmt!r} streams expect "
-                    f"{frame_cls.__name__} items, got {type(item).__name__}")
-            if pool is None:
-                oh, ow = luma_lut.out_shape
-                pool = tuple(np.empty(s, dtype=item.y.dtype)
-                             for s in frame_cls.plane_shapes(oh, ow))
-            luma_lut.apply_into(item.y, pool[0])
-            if pixfmt == "nv12":
-                chroma_lut.apply_into(item.uv, pool[1])
-            else:
-                chroma_lut.apply_into(item.u, pool[1])
-                chroma_lut.apply_into(item.v, pool[2])
-            result = frame_cls(*pool)
-            yield result.copy() if copy else result
-
-    yield from _stream_telemetry(inline(), label=stream_label, fused=fused)
+        srcs = plan.planes_of(item)
+        shapes = plan.out_shapes([p.shape for p in srcs])
+        if (pool is None or pool[0].dtype != srcs[0].dtype
+                or tuple(p.shape for p in pool) != shapes):
+            pool = tuple(np.empty(s, dtype=srcs[0].dtype) for s in shapes)
+        for lut, src, dst in zip(plan.luts, srcs, pool):
+            lut.apply_into(src, dst)
+        yield plan.wrap(item, tuple(p.copy() for p in pool) if copy else pool)
 
 
 @dataclass

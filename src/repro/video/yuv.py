@@ -12,10 +12,11 @@ builds the two coordinate fields once and streams frames through both
 with pooled output planes (zero per-frame allocations, like
 :func:`~repro.video.stream.corrected_stream`).  The chroma map is
 *derived* from the luma map with
-:func:`~repro.core.mapping.chroma_half_field`, so every consumer of a
+:func:`~repro.core.mapping.chroma_half_field`, and every consumer of a
 calibration — this corrector, ``corrected_stream(pixfmt="yuv420")``
-and :meth:`repro.serve.StreamBroker.open` — resolves to the same two
-:class:`~repro.core.lutcache.LUTCache` entries.
+and :meth:`repro.serve.StreamBroker.open` — builds its tables through
+one :class:`~repro.video.frameplan.FramePlan`, so all of them resolve
+to the same two :class:`~repro.core.lutcache.LUTCache` entries.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from ..errors import ImageFormatError, MappingError
 from ..core.intrinsics import CameraIntrinsics, FisheyeIntrinsics
-from ..core.kernel_tiers import resolve_tier
 from ..core.lens import LensModel
 from ..core.mapping import RemapField, chroma_half_field, perspective_map
 from ..core.remap import RemapLUT
@@ -295,28 +295,23 @@ class YUVCorrector:
 
     def _bind(self, luma_field: RemapField, *, method, fill, chroma_fill,
               lut_cache, kernel, border="constant") -> None:
+        from .frameplan import FramePlan
+        plan = FramePlan.for_field(luma_field, pixfmt="yuv420", method=method,
+                                   border=border, fill=fill,
+                                   chroma_fill=chroma_fill,
+                                   lut_cache=lut_cache, kernel=kernel)
         self.luma_field = luma_field
-        self.chroma_field = chroma_half_field(luma_field)
-        if lut_cache is not None:
-            luma_lut = lut_cache.get(luma_field, method=method, border=border,
-                                     fill=fill)
-            chroma_lut = lut_cache.get(self.chroma_field, method="bilinear",
-                                       border=border, fill=chroma_fill)
-        else:
-            luma_lut = RemapLUT(luma_field, method=method, border=border,
-                                fill=fill)
-            chroma_lut = RemapLUT(self.chroma_field, method="bilinear",
-                                  border=border, fill=chroma_fill)
-        tier = resolve_tier(kernel)
-        if tier != "numpy":
-            luma_lut = luma_lut.with_tier(tier)
-            chroma_lut = chroma_lut.with_tier(tier)
-        self._luma_lut = luma_lut
-        self._chroma_lut = chroma_lut
+        self._luma_lut = plan.lut
+        self._chroma_lut = plan.chroma_lut
         self.out_shape = luma_field.shape
-        self._pool = None  # pooled output planes, sized on first frame
+        self._pools = {}  # frame class -> output planes, sized on first frame
 
     # ------------------------------------------------------------------
+    @property
+    def chroma_field(self) -> RemapField:
+        """The half-resolution chroma twin of :attr:`luma_field`."""
+        return chroma_half_field(self.luma_field)
+
     @property
     def luma_lut(self) -> RemapLUT:
         return self._luma_lut
@@ -351,23 +346,7 @@ class YUVCorrector:
         copy before the next ``correct``, like any zero-copy decoder
         API); ``copy=True`` returns an owning frame.
         """
-        if (frame.height, frame.width) != (self.luma_field.src_height,
-                                           self.luma_field.src_width):
-            raise MappingError(
-                f"frame {frame.width}x{frame.height} does not match corrector "
-                f"source {self.luma_field.src_width}x{self.luma_field.src_height}")
-        pool = self._pool
-        if pool is None or pool[0].dtype != frame.y.dtype:
-            h, w = self.out_shape
-            shapes = YUV420Frame.plane_shapes(h, w)
-            pool = self._pool = tuple(
-                np.empty(s, dtype=frame.y.dtype) for s in shapes)
-        self._luma_lut.apply_into(frame.y, pool[0])
-        self._chroma_lut.apply_into(frame.u, pool[1])
-        self._chroma_lut.apply_into(frame.v, pool[2])
-        if copy:
-            return YUV420Frame(pool[0].copy(), pool[1].copy(), pool[2].copy())
-        return YUV420Frame(*pool)
+        return self._correct(frame, self.plane_luts, copy)
 
     def correct_nv12(self, frame: NV12Frame, copy: bool = False) -> NV12Frame:
         """Correct one NV12 frame: two applies, not three.
@@ -379,22 +358,24 @@ class YUVCorrector:
         correcting the de-interleaved U and V planes separately.
         Pooled like :meth:`correct`: ``copy=False`` aliases the pool.
         """
+        return self._correct(frame, self.nv12_plane_luts, copy)
+
+    def _correct(self, frame, luts, copy):
         if (frame.height, frame.width) != (self.luma_field.src_height,
                                            self.luma_field.src_width):
             raise MappingError(
                 f"frame {frame.width}x{frame.height} does not match corrector "
                 f"source {self.luma_field.src_width}x{self.luma_field.src_height}")
-        pool = self._nv12_pool = getattr(self, "_nv12_pool", None)
+        cls = type(frame)
+        pool = self._pools.get(cls)
         if pool is None or pool[0].dtype != frame.y.dtype:
-            h, w = self.out_shape
-            shapes = NV12Frame.plane_shapes(h, w)
-            pool = self._nv12_pool = tuple(
-                np.empty(s, dtype=frame.y.dtype) for s in shapes)
-        self._luma_lut.apply_into(frame.y, pool[0])
-        self._chroma_lut.apply_into(frame.uv, pool[1])
-        if copy:
-            return NV12Frame(pool[0].copy(), pool[1].copy())
-        return NV12Frame(*pool)
+            pool = self._pools[cls] = tuple(
+                np.empty(s, dtype=frame.y.dtype)
+                for s in cls.plane_shapes(*self.out_shape))
+        for lut, src, dst in zip(luts, frame.planes, pool):
+            lut.apply_into(src, dst)
+        out = cls(*pool)
+        return out.copy() if copy else out
 
     def work_pixels(self) -> int:
         """Output pixels remapped per frame (luma + both chroma planes).
