@@ -23,8 +23,9 @@ elsewhere.  Measurements land in ``BENCH_kernels.json`` with the host
 core count and numba version in the metadata.
 
 The streaming gate runs the same 1080p bilinear workload through the
-fork-join :class:`SharedMemoryExecutor` and the persistent-worker
-:class:`RingEngine` and requires the ring to win by
+fork-join :class:`ThreadedExecutor` (``run`` dispatches one frame's
+bands and joins them) and the persistent-worker :class:`RingEngine`
+and requires the ring to win by
 ``STREAM_SPEEDUP_MIN`` (1.3x).  That ratio is only meaningful with
 real cores, so the full gate is enforced when ``os.cpu_count() >= 4``
 (the CI reference machine); on smaller hosts — and always under
@@ -195,8 +196,8 @@ def bench_stream(full: bool) -> dict:
     per-frame fork-join barriers vs persistent workers with frame-level
     overlap.
     """
-    from repro.parallel.procpool import SharedMemoryExecutor
     from repro.parallel.ring import RingEngine
+    from repro.parallel.threadpool import ThreadedExecutor
     from repro.video.stream import panning_crops
 
     if full:
@@ -213,10 +214,10 @@ def bench_stream(full: bool) -> dict:
 
     reference = lut.apply(next(source()))
 
-    ex = SharedMemoryExecutor(lut, (h, w), np.uint8, workers=workers)
+    ex = ThreadedExecutor(workers=workers, bands_per_worker=2)
     try:
         out = np.empty(lut.out_shape, dtype=np.uint8)
-        ex.run(lut, next(source()), out=out)  # warmup (workers attach)
+        ex.run(lut, next(source()), out=out)  # warmup (pool + weight table)
         t0 = time.perf_counter()
         for frame in source():
             ex.run(lut, frame, out=out)
@@ -247,6 +248,7 @@ def bench_stream(full: bool) -> dict:
         "depth": depth,
         "schedule": "dynamic",
         "method": "bilinear",
+        "forkjoin_engine": ex.name,
         "forkjoin_fps": frames_n / forkjoin_s,
         "ring_fps": delivered / ring_s,
         "ring_speedup": forkjoin_s / ring_s,

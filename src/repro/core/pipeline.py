@@ -14,9 +14,10 @@ once, then stream frames through it — behind a small API:
 
 Execution is pluggable: any object implementing
 :class:`RemapExecutor` (``run(lut, image, out=None)``) can be passed,
-so the tiled thread-pool and process-pool executors in
-:mod:`repro.parallel` and the simulated platforms drop in without the
-caller changing shape.
+so the tiled thread-pool executor in :mod:`repro.parallel` and the
+simulated platforms drop in without the caller changing shape.
+Multi-process correction is a stream engine (``engine="ring"`` in
+:meth:`FisheyeCorrector.correct_stream`), not an executor.
 """
 
 from __future__ import annotations

@@ -4,13 +4,15 @@
   tiles/bands (including cost-weighted cuts),
 - :mod:`~repro.parallel.schedule` — deterministic replay of
   static/dynamic/guided loop schedules,
-- :mod:`~repro.parallel.threadpool` / :mod:`~repro.parallel.procpool`
-  — real shared-memory executors for the remap kernel,
-- :mod:`~repro.parallel.ring` — the persistent-worker streaming engine
-  (shared-memory frame ring, frame-level double buffering, dynamic
-  band scheduling),
-- :mod:`~repro.parallel.shmseg` — the shared-segment plumbing both
-  process back ends are built on,
+- :mod:`~repro.parallel.threadpool` — the fork-join thread executor
+  for the remap kernel (the paper's pthreads rung),
+- :mod:`~repro.parallel.stream` — the in-process software-pipelined
+  stream (decode / correct / deliver on threads),
+- :mod:`~repro.parallel.ring` — the one process engine: persistent
+  workers over a shared-memory frame ring (frame-level double
+  buffering, dynamic band scheduling),
+- :mod:`~repro.parallel.shmseg` — the shared-segment plumbing the
+  process engine is built on,
 - :mod:`~repro.parallel.simd` — the SIMD vectorization model.
 """
 

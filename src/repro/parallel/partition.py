@@ -169,8 +169,9 @@ def plan_bands(height: int, workers: int, schedule: str = "dynamic",
     next item when free); the policy chooses granularity:
 
     ``static``
-        One contiguous band per worker — the fork-join executors'
-        layout, kept for apples-to-apples comparisons.
+        One contiguous band per worker — the fork-join layout of
+        :class:`~repro.parallel.threadpool.ThreadedExecutor` with
+        ``bands_per_worker=1``, kept for apples-to-apples comparisons.
     ``dynamic``
         Fixed ``chunk``-row bands (default ``height // (8 * workers)``,
         at least 1): many small units, best balance on skewed maps.

@@ -1,11 +1,12 @@
 """Single-stream streaming engine: a broker with one session.
 
 The paper's Cell BE result rests on double buffering — DMA of tile
-*k+1* overlaps computation of tile *k*.  The fork-join executors in
-:mod:`~repro.parallel.procpool` do not have that property at frame
-granularity: ``run`` dispatches one frame's bands, waits for all of
-them, and returns before the next frame may even be decoded.
-:class:`RingEngine` lifts the overlap into the shipping host pipeline.
+*k+1* overlaps computation of tile *k*.  A fork-join executor such as
+:class:`~repro.parallel.threadpool.ThreadedExecutor` does not have that
+property at frame granularity: ``run`` dispatches one frame's bands,
+waits for all of them, and returns before the next frame may even be
+decoded.  :class:`RingEngine` lifts the overlap into the shipping host
+pipeline; it is the package's one process engine.
 
 It is a :class:`~repro.serve.broker.StreamBroker` that runs one session
 per stream over its own fleet, so the ring and the multi-stream broker

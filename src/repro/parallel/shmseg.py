@@ -1,19 +1,18 @@
-"""Shared-memory segment plumbing for the process-based executors.
+"""Shared-memory segment plumbing for the process engine.
 
-Everything the process executors and the streaming ring have in common
-lives here, so :mod:`~repro.parallel.procpool` (per-frame fork-join)
-and :mod:`~repro.parallel.ring` (persistent-worker streaming) share one
-implementation of the fragile parts:
+The streaming engine (:mod:`~repro.parallel.ring` and the
+:mod:`~repro.serve.broker` it is built on) keeps the fragile parts in
+one place here:
 
 - **publication** of numpy arrays and whole LUT table sets into named
   POSIX shared-memory segments (:func:`share_array`,
-  :class:`SharedTables`, :class:`FrameSegments`);
+  :class:`SharedTables`, :class:`PlanarFrameSegments`);
 - **attachment** from worker processes (:func:`attach_segment`,
-  :func:`attach_tables`);
+  :func:`attach_planar_slot`, :func:`attach_planar_tables`);
 - **lifecycle hardening**: every parent-owned segment group is wired to
   a :func:`weakref.finalize` finalizer, which Python also runs at
   interpreter exit (atexit), so segments are unlinked even when an
-  executor is dropped without ``close()`` or a worker crashes mid-run —
+  engine is dropped without ``close()`` or a worker crashes mid-run —
   no ``resource_tracker`` leak warnings survive either event;
 - the worker-side **telemetry bootstrap/drain** pair
   (:func:`init_worker_telemetry`, :func:`worker_delta`) that lets each
@@ -28,7 +27,7 @@ The parent's finalizer is therefore the single owner of the unlink —
 workers must *never* unregister (that would strip the shared entry and
 make the parent's unlink race the tracker), and with the finalizer in
 place the tracker's shutdown sweep finds nothing to warn about even
-after a crashed worker or an executor dropped without ``close()``.
+after a crashed worker or an engine dropped without ``close()``.
 """
 
 from __future__ import annotations
@@ -47,13 +46,9 @@ __all__ = [
     "attach_segment",
     "release_segments",
     "ensure_resource_tracker",
-    "FrameSegments",
     "PlanarFrameSegments",
-    "attach_slot",
     "attach_planar_slot",
-    "attach_any_slot",
     "SharedTables",
-    "attach_tables",
     "attach_planar_tables",
     "init_worker_telemetry",
     "worker_delta",
@@ -161,52 +156,6 @@ class _SegmentGroup:
         self._finalizer()
 
 
-class FrameSegments(_SegmentGroup):
-    """Create/own one source + destination shared frame buffer pair."""
-
-    def __init__(self, frame_shape, frame_dtype, out_shape):
-        frame_dtype = np.dtype(frame_dtype)
-        self.frame_shape = tuple(frame_shape)
-        self.out_shape = tuple(out_shape)
-        self.dtype = frame_dtype
-        nbytes_src = int(np.prod(frame_shape)) * frame_dtype.itemsize
-        nbytes_dst = int(np.prod(out_shape)) * frame_dtype.itemsize
-        self.src_shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes_src))
-        self.dst_shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes_dst))
-        self.src_view = np.ndarray(frame_shape, dtype=frame_dtype, buffer=self.src_shm.buf)
-        self.dst_view = np.ndarray(out_shape, dtype=frame_dtype, buffer=self.dst_shm.buf)
-        super().__init__([self.src_shm, self.dst_shm])
-
-    @property
-    def spec(self):
-        """Picklable attach recipe: ``(src_name, frame_shape, dst_name,
-        out_shape, dtype_str)`` — what a worker needs to map this slot
-        (see :func:`attach_slot`)."""
-        return (self.src_shm.name, self.frame_shape, self.dst_shm.name,
-                self.out_shape, self.dtype.str)
-
-    def release(self):
-        self.src_view = None
-        self.dst_view = None
-        super().release()
-
-
-def attach_slot(spec):
-    """Worker side of :attr:`FrameSegments.spec`: map one frame slot.
-
-    Returns ``(segments, src_view, dst_view)``; the caller keeps
-    ``segments`` alive (and ``close()``\\ s them when done) — the parent
-    owns the unlink.
-    """
-    src_name, frame_shape, dst_name, out_shape, dtype_str = spec
-    dtype = np.dtype(dtype_str)
-    src_shm = attach_segment(src_name)
-    dst_shm = attach_segment(dst_name)
-    src = np.ndarray(tuple(frame_shape), dtype=dtype, buffer=src_shm.buf)
-    dst = np.ndarray(tuple(out_shape), dtype=dtype, buffer=dst_shm.buf)
-    return [src_shm, dst_shm], src, dst
-
-
 def _plane_views(buf, plane_shapes, dtype):
     """Carve per-plane views out of one packed segment buffer."""
     views = []
@@ -221,10 +170,11 @@ def _plane_views(buf, plane_shapes, dtype):
 class PlanarFrameSegments(_SegmentGroup):
     """One multi-plane source + destination shared buffer pair.
 
-    The zero-copy YUV420 slot: all of a frame's planes (full-resolution
-    Y, half-resolution U and V) are packed into **one** shared-memory
-    allocation per side, laid out back to back in
-    :data:`~repro.video.yuv.PLANE_NAMES` order — one segment pair per
+    The engine's one frame-slot format: all of a frame's planes are
+    packed into **one** shared-memory allocation per side, laid out
+    back to back — a gray or RGB frame is a single plane, a YUV420
+    frame its full-resolution Y and half-resolution U and V in
+    :data:`~repro.video.yuv.PLANE_NAMES` order.  One segment pair per
     ring slot regardless of plane count, with per-plane views carved
     out at fixed offsets.  Workers address ``(slot, plane)`` pairs, so
     two workers can gather the Y band of frame *N* while a third
@@ -250,9 +200,8 @@ class PlanarFrameSegments(_SegmentGroup):
 
     @property
     def spec(self):
-        """Picklable attach recipe (tagged ``"planar"`` so a worker can
-        distinguish it from a :attr:`FrameSegments.spec`)."""
-        return ("planar", self.src_shm.name, self.plane_shapes,
+        """Picklable attach recipe (see :func:`attach_planar_slot`)."""
+        return (self.src_shm.name, self.plane_shapes,
                 self.dst_shm.name, self.out_plane_shapes, self.dtype.str)
 
     def release(self):
@@ -265,29 +214,16 @@ def attach_planar_slot(spec):
     """Worker side of :attr:`PlanarFrameSegments.spec`.
 
     Returns ``(segments, src_views, dst_views)`` with one view per
-    plane on each side.
+    plane on each side.  The caller keeps ``segments`` alive (and
+    ``close()``\\ s them when done) — the parent owns the unlink.
     """
-    tag, src_name, plane_shapes, dst_name, out_plane_shapes, dtype_str = spec
-    if tag != "planar":
-        raise ValueError(f"not a planar slot spec: {spec!r}")
+    src_name, plane_shapes, dst_name, out_plane_shapes, dtype_str = spec
     dtype = np.dtype(dtype_str)
     src_shm = attach_segment(src_name)
     dst_shm = attach_segment(dst_name)
     src_views = _plane_views(src_shm.buf, plane_shapes, dtype)
     dst_views = _plane_views(dst_shm.buf, out_plane_shapes, dtype)
     return [src_shm, dst_shm], src_views, dst_views
-
-
-def attach_any_slot(spec):
-    """Attach either slot flavour; always returns per-plane view tuples.
-
-    Non-planar slots come back as one-plane tuples, so engine workers
-    can index ``views[plane]`` uniformly.
-    """
-    if spec and spec[0] == "planar":
-        return attach_planar_slot(spec)
-    segs, src, dst = attach_slot(spec)
-    return segs, (src,), (dst,)
 
 
 def _lut_meta(lut: RemapLUT) -> dict:
@@ -308,16 +244,16 @@ class SharedTables(_SegmentGroup):
     ``spec`` maps table keys to ``(segment_name, shape, dtype_str)``
     triples and ``meta`` carries the scalar LUT parameters — together
     they are everything a worker needs to rebuild a zero-copy
-    :class:`~repro.core.remap.RemapLUT` with :func:`attach_tables`.
+    :class:`~repro.core.remap.RemapLUT` with :func:`attach_planar_tables`.
 
     With a ``chroma`` LUT the publication becomes *planar*: the chroma
     tables join the same spec under :data:`_CHROMA_PREFIX`-prefixed
     keys and ``meta["chroma"]`` carries the chroma LUT's scalars — one
-    spec, one segment group, two zero-copy LUTs on the worker side
-    (:func:`attach_planar_tables`).  ``pixfmt`` records which planar
-    layout the tables serve (``"yuv420"``: three planes, u/v sharing
-    the chroma LUT; ``"nv12"``: two planes, the chroma LUT applied
-    once to the interleaved UV view) so the worker side recovers the
+    spec, one segment group, two zero-copy LUTs on the worker side.
+    ``pixfmt`` records which planar layout the tables serve
+    (``"yuv420"``: three planes, u/v sharing the chroma LUT;
+    ``"nv12"``: two planes, the chroma LUT applied once to the
+    interleaved UV view) so the worker side recovers the
     right per-plane LUT tuple without guessing.
     """
 
@@ -373,20 +309,7 @@ def _attach_lut(spec, meta, segments, prefix=""):
         tier=meta.get("tier", "numpy"),
         frac_bits=meta.get("frac_bits", DEFAULT_FRAC_BITS),
         qweight_table=arrays.get("qwtab"))
-    return arrays, lut
-
-
-def attach_tables(spec, meta):
-    """Worker side of :class:`SharedTables`: rebuild a zero-copy LUT.
-
-    Returns ``(segments, arrays, lut)``; the caller must keep
-    ``segments`` alive as long as the LUT is used.  Chroma-prefixed
-    keys of a planar publication are ignored here — use
-    :func:`attach_planar_tables` to get both LUTs.
-    """
-    segments = []
-    arrays, lut = _attach_lut(spec, meta, segments)
-    return segments, arrays, lut
+    return lut
 
 
 def attach_planar_tables(spec, meta):
@@ -401,10 +324,10 @@ def attach_planar_tables(spec, meta):
     A publication without chroma tables yields the one-plane ``(lut,)``.
     """
     segments = []
-    _, luma = _attach_lut(spec, meta, segments)
+    luma = _attach_lut(spec, meta, segments)
     if "chroma" not in meta:
         return segments, (luma,)
-    _, chroma = _attach_lut(spec, meta["chroma"], segments, _CHROMA_PREFIX)
+    chroma = _attach_lut(spec, meta["chroma"], segments, _CHROMA_PREFIX)
     if meta.get("pixfmt", "yuv420") == "nv12":
         return segments, (luma, chroma)
     return segments, (luma, chroma, chroma)

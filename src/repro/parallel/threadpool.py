@@ -3,11 +3,8 @@
 :class:`ThreadedExecutor` runs the tile kernel on a
 ``ThreadPoolExecutor``.  The heavy work inside each tile is numpy
 fancy-indexing and arithmetic, which releases the GIL, so on a real
-multicore machine this scales like the paper's pthreads version.  (On
-this repository's 1-core CI host it cannot speed anything up — the
-deterministic models in :mod:`repro.accel` carry the scaling study —
-but the executor is exercised functionally by the test suite and is
-the implementation a downstream user would deploy.)
+multicore machine this scales like the paper's pthreads version (see
+the same-run engine table in ``docs/parallelization.md``).
 
 Tiles are row bands: each worker writes a disjoint slice of the shared
 output array, so no synchronization beyond the final join is needed —
@@ -92,14 +89,21 @@ class ThreadedExecutor:
         return row_bands(h, w, count)
 
     def run(self, lut: RemapLUT, image, out=None):
-        """Apply ``lut`` to ``image`` with tile-parallel workers."""
+        """Apply ``lut`` to ``image`` with tile-parallel workers.
+
+        ``out`` must match the corrected frame exactly (shape including
+        channels, and the frame's dtype), as :meth:`RemapLUT.apply`
+        requires; a mismatch raises before any band runs.
+        """
         image = np.asarray(image)
         channels = image.shape[2:] if image.ndim == 3 else ()
+        expected = lut.out_shape + channels
         if out is None:
-            out = np.empty(lut.out_shape + channels, dtype=image.dtype)
-        elif out.shape[:2] != lut.out_shape:
+            out = np.empty(expected, dtype=image.dtype)
+        elif out.shape != expected or out.dtype != image.dtype:
             raise ScheduleError(
-                f"output buffer {out.shape} does not match LUT output {lut.out_shape}")
+                f"output buffer {out.shape}/{out.dtype} does not match "
+                f"{expected}/{image.dtype}")
 
         tiles = self._tiles_for(lut)
         pool = self._ensure_pool()

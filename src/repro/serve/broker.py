@@ -79,6 +79,7 @@ import pickle
 import queue as _queue
 import threading
 import time
+import weakref
 from collections import deque
 
 import numpy as np
@@ -198,7 +199,7 @@ def _worker_main(rank, ns, task_q, done_q, ctrl_q, telemetry_enabled):
     (where, cause)`` naming the plane and rows and the exception type
     and message; the collector decides whether anyone still cares.
     """
-    from ..parallel.shmseg import (attach_any_slot, attach_planar_tables,
+    from ..parallel.shmseg import (attach_planar_slot, attach_planar_tables,
                                    init_worker_telemetry, worker_delta)
     from ..video.yuv import plane_names_for
 
@@ -219,7 +220,7 @@ def _worker_main(rank, ns, task_q, done_q, ctrl_q, telemetry_enabled):
             entry = tables[key] = (segs, luts, planes)
         slot_segs, slots = [], []
         for spec in slot_specs:
-            segs, srcs, dsts = attach_any_slot(spec)
+            segs, srcs, dsts = attach_planar_slot(spec)
             slot_segs += segs
             slots.append((srcs, dsts))
         sessions[sid] = (slot_segs, slots, entry, label)
@@ -281,6 +282,35 @@ def _worker_main(rank, ns, task_q, done_q, ctrl_q, telemetry_enabled):
     finally:
         for entry in list(sessions.values()) + list(tables.values()):
             _close_segments(entry[0])
+
+
+def _collect_loop(ref, abort, done_q):
+    """Collector thread: hand each band completion to its broker.
+
+    The broker is held only weakly while the thread waits on the queue,
+    so a broker dropped without ``close()`` is still collected: its
+    ``__del__`` closes it and the segment finalizers unlink everything.
+    """
+    last_live_check = time.monotonic()
+    while not abort.is_set():
+        t_wait = time.time()
+        t0 = time.perf_counter()
+        try:
+            item = done_q.get(timeout=_POLL_S)
+        except _queue.Empty:
+            item = None
+        broker = ref()
+        if broker is None:
+            return
+        # a dead worker must be noticed even while the healthy workers
+        # keep the completion queue busy (its in-flight band is lost,
+        # so its frame would stall forever)
+        if time.monotonic() - last_live_check > _POLL_S:
+            broker._check_workers()
+            last_live_check = time.monotonic()
+        if item is not None:
+            broker._complete(item, t_wait, t0)
+        del broker
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +714,9 @@ class StreamBroker:
             p.start()
             self._procs.append(p)
         self._collector = threading.Thread(
-            target=self._collect, name=f"{ns}-collect", daemon=True)
+            target=_collect_loop,
+            args=(weakref.ref(self), self._abort, self._done_q),
+            name=f"{ns}-collect", daemon=True)
         self._collector.start()
 
     # ------------------------------------------------------------------
@@ -841,50 +873,37 @@ class StreamBroker:
                 return
             self._inflight += 1
 
-    def _collect(self):
+    def _complete(self, item, t_wait: float, t0: float) -> None:
+        """Route one band completion to its session (collector thread)."""
         tel, ns = self._tel, self._ns
-        last_live_check = time.monotonic()
-        while not self._abort.is_set():
-            # a dead worker must be noticed even while the healthy
-            # workers keep the completion queue busy (its in-flight
-            # band is lost, so its frame would stall forever)
-            if time.monotonic() - last_live_check > _POLL_S:
-                self._check_workers()
-                last_live_check = time.monotonic()
-            t_wait = time.time()
-            t0 = time.perf_counter()
-            try:
-                sid, seq, slot, rows, rank, delta, error = self._done_q.get(
-                    timeout=_POLL_S)
-            except _queue.Empty:
-                continue
-            with self._sched_lock:
-                self._inflight -= 1
-                self._pump()
-            rec = self.flightrec
-            rec.record("band_done", frame_id=seq, slot=slot, rows=rows,
-                       worker=rank)
+        sid, seq, slot, rows, rank, delta, error = item
+        with self._sched_lock:
+            self._inflight -= 1
+            self._pump()
+        rec = self.flightrec
+        rec.record("band_done", frame_id=seq, slot=slot, rows=rows,
+                   worker=rank)
+        if delta:
+            for span in delta.get("spans", ()):
+                rec.record_span(span)
+        if tel.enabled:
+            dt = time.perf_counter() - t0
+            tel.histogram(f"{ns}.deliver_wait_seconds").observe(dt)
             if delta:
-                for span in delta.get("spans", ()):
-                    rec.record_span(span)
-            if tel.enabled:
-                dt = time.perf_counter() - t0
-                tel.histogram(f"{ns}.deliver_wait_seconds").observe(dt)
-                if delta:
-                    tel.merge(delta)
-                tel.add_span(f"{ns}.deliver", t_wait, dt, cat=ns,
-                             tid=f"{ns}-deliver", args={"frame_id": seq})
-            session = self._sessions.get(sid)
-            if session is None:
-                continue  # closed session's stale band: nobody cares
-            if error is not None:
-                where, cause = error
-                session._fail(StreamError(
-                    f"band (frame {seq}, slot {slot}, {where}) of stream "
-                    f"{session.name!r} failed in {ns}-worker-{rank}: "
-                    f"{cause}"))
-                continue
-            session._band_done(seq, slot)
+                tel.merge(delta)
+            tel.add_span(f"{ns}.deliver", t_wait, dt, cat=ns,
+                         tid=f"{ns}-deliver", args={"frame_id": seq})
+        session = self._sessions.get(sid)
+        if session is None:
+            return  # closed session's stale band: nobody cares
+        if error is not None:
+            where, cause = error
+            session._fail(StreamError(
+                f"band (frame {seq}, slot {slot}, {where}) of stream "
+                f"{session.name!r} failed in {ns}-worker-{rank}: "
+                f"{cause}"))
+            return
+        session._band_done(seq, slot)
 
     def _check_workers(self):
         for p in self._procs:
@@ -964,7 +983,9 @@ class StreamBroker:
         for s in sessions:
             s.close()
         self._abort.set()
-        self._collector.join(timeout=2.0)
+        if self._collector is not threading.current_thread():
+            # (a dropped broker may be finalized on its own collector)
+            self._collector.join(timeout=2.0)
         try:  # drop stale band items so pills are reached promptly
             while True:
                 self._task_q.get_nowait()

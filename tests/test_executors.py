@@ -1,9 +1,13 @@
-"""Thread/process executor tests: parallel result == sequential result."""
+"""Thread/process executor tests: parallel result == sequential result.
+
+The process cases run the one process engine, :class:`RingEngine`,
+with a single slot — its fork-join configuration."""
 
 import numpy as np
 import pytest
 
 from repro.core.remap import RemapLUT
+from repro.parallel.ring import RingEngine
 from repro.parallel.simd import AVX2, SPU, SSE2, apply_lanewise, simd_speedup
 from repro.parallel.threadpool import ThreadedExecutor
 from repro.errors import PlatformError, ScheduleError
@@ -43,6 +47,19 @@ class TestThreadedExecutor:
             with pytest.raises(ScheduleError):
                 ex.run(lut, random_image, out=np.empty((5, 5), dtype=np.uint8))
 
+    def test_out_buffer_must_match_frame(self, small_field, random_image,
+                                         rgb_image):
+        """``run`` accepts exactly the out buffers ``RemapLUT.apply`` does:
+        a wrong dtype or a missing channel axis is refused up front, not
+        silently cast or left to fail inside a worker thread."""
+        lut = RemapLUT(small_field)
+        with ThreadedExecutor(workers=2) as ex:
+            with pytest.raises(ScheduleError):
+                ex.run(lut, random_image,
+                       out=np.empty((64, 64), dtype=np.float32))
+            with pytest.raises(ScheduleError):
+                ex.run(lut, rgb_image, out=np.empty((64, 64), dtype=np.uint8))
+
     def test_close_idempotent(self, small_field):
         ex = ThreadedExecutor(workers=2)
         ex.close()
@@ -65,113 +82,105 @@ class TestThreadedExecutor:
                 np.testing.assert_array_equal(par.correct(f), seq.correct(f))
 
 
-class TestProcessExecutor:
-    def test_matches_sequential(self, small_field, random_image):
-        from repro.parallel.procpool import ProcessExecutor
+def _one_slot_ring(lut, frame_shape, **kwargs):
+    """The process engine in its fork-join configuration: one ring slot,
+    so each frame's bands are dispatched and joined before the next."""
+    kwargs.setdefault("workers", 2)
+    return RingEngine(lut, frame_shape, depth=1, **kwargs)
 
+
+def _run(engine, frame):
+    """Correct one frame as one stream (fork-join use of the engine)."""
+    (out,) = engine.stream([frame], copy=True)
+    return out
+
+
+class TestProcessExecutor:
+    """Frame-at-a-time use of the process engine (a one-slot ring)."""
+
+    def test_matches_sequential(self, small_field, random_image):
         lut = RemapLUT(small_field)
         expected = lut.apply(random_image)
-        with ProcessExecutor(lut, random_image.shape, np.uint8, workers=2) as ex:
-            out = ex.run(lut, random_image)
+        with _one_slot_ring(lut, random_image.shape) as engine:
+            out = _run(engine, random_image)
         np.testing.assert_array_equal(out, expected)
 
     def test_multiple_frames(self, small_field, rng):
-        from repro.parallel.procpool import ProcessExecutor
-
         lut = RemapLUT(small_field)
         frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8) for _ in range(3)]
-        with ProcessExecutor(lut, (64, 64), np.uint8, workers=2) as ex:
+        with _one_slot_ring(lut, (64, 64)) as engine:
             for f in frames:
-                np.testing.assert_array_equal(ex.run(lut, f), lut.apply(f))
-
-    def test_wrong_lut_rejected(self, small_field, tilted_field, random_image):
-        from repro.parallel.procpool import ProcessExecutor
-
-        lut = RemapLUT(small_field)
-        other = RemapLUT(tilted_field)
-        with ProcessExecutor(lut, (64, 64), np.uint8, workers=1) as ex:
-            with pytest.raises(ScheduleError):
-                ex.run(other, random_image)
+                np.testing.assert_array_equal(_run(engine, f), lut.apply(f))
 
     def test_wrong_frame_rejected(self, small_field):
-        from repro.parallel.procpool import ProcessExecutor
-
         lut = RemapLUT(small_field)
-        with ProcessExecutor(lut, (64, 64), np.uint8, workers=1) as ex:
-            with pytest.raises(ScheduleError):
-                ex.run(lut, np.zeros((64, 64), dtype=np.float32))
+        with _one_slot_ring(lut, (64, 64), workers=1) as engine:
+            with pytest.raises(ScheduleError, match="geometry"):
+                _run(engine, np.zeros((64, 64), dtype=np.float32))
 
     def test_closed_executor_rejects_work(self, small_field, random_image):
-        from repro.parallel.procpool import ProcessExecutor
-
         lut = RemapLUT(small_field)
-        ex = ProcessExecutor(lut, (64, 64), np.uint8, workers=1)
-        ex.close()
-        with pytest.raises(ScheduleError):
-            ex.run(lut, random_image)
+        with _one_slot_ring(lut, (64, 64), workers=1) as engine:
+            _run(engine, random_image)
+        with pytest.raises(ScheduleError, match="closed"):
+            _run(engine, random_image)
 
 
 class TestSharedMemoryExecutor:
+    """The one-slot ring's shared-memory tables and frame slots."""
+
     @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
     def test_matches_sequential(self, method, small_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
         lut = RemapLUT(small_field, method=method)
         expected = lut.apply(random_image)
-        with SharedMemoryExecutor(lut, random_image.shape, np.uint8,
-                                  workers=2) as ex:
-            out = ex.run(lut, random_image)
+        with _one_slot_ring(lut, random_image.shape) as engine:
+            out = _run(engine, random_image)
         np.testing.assert_array_equal(out, expected)
 
     def test_matches_threaded(self, tilted_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
         lut = RemapLUT(tilted_field, fill=33.0)
+        assert not lut.mask.all()  # some output pixels take the fill
         with ThreadedExecutor(workers=2) as tex:
             want = tex.run(lut, random_image)
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=2) as ex:
-            got = ex.run(lut, random_image)
+        with _one_slot_ring(lut, (64, 64)) as engine:
+            got = _run(engine, random_image)
         np.testing.assert_array_equal(got, want)
 
     def test_rgb_and_out_buffer(self, small_field, rgb_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
         lut = RemapLUT(small_field)
-        buf = np.empty((64, 64, 3), dtype=np.uint8)
-        with SharedMemoryExecutor(lut, rgb_image.shape, np.uint8,
-                                  workers=2) as ex:
-            out = ex.run(lut, rgb_image, out=buf)
-        assert out is buf
-        np.testing.assert_array_equal(buf, lut.apply(rgb_image))
+        with _one_slot_ring(lut, rgb_image.shape) as engine:
+            (slot,) = engine._slots
+            for out in engine.stream([rgb_image]):
+                # zero-copy delivery: the frame is the slot's output plane
+                assert np.shares_memory(out, slot.dst_views[0])
+                np.testing.assert_array_equal(out, lut.apply(rgb_image))
 
     def test_multiple_frames_reuse_segments(self, small_field, rng):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
         lut = RemapLUT(small_field)
         frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8)
                   for _ in range(3)]
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=2) as ex:
+        with _one_slot_ring(lut, (64, 64)) as engine:
+            names = [shm.name for group in engine._segment_groups
+                     for shm in group._shms]
             for f in frames:
-                np.testing.assert_array_equal(ex.run(lut, f), lut.apply(f))
+                np.testing.assert_array_equal(_run(engine, f), lut.apply(f))
+            assert [shm.name for group in engine._segment_groups
+                    for shm in group._shms] == names
 
     def test_spawn_context(self, small_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
         lut = RemapLUT(small_field)
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=1,
-                                  context="spawn") as ex:
-            out = ex.run(lut, random_image)
+        with _one_slot_ring(lut, (64, 64), workers=1,
+                            context="spawn") as engine:
+            out = _run(engine, random_image)
         np.testing.assert_array_equal(out, lut.apply(random_image))
 
     def test_close_idempotent_and_rejects_work(self, small_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
         lut = RemapLUT(small_field)
-        ex = SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=1)
-        ex.close()
-        ex.close()
+        engine = _one_slot_ring(lut, (64, 64), workers=1)
+        engine.close()
+        engine.close()
         with pytest.raises(ScheduleError):
-            ex.run(lut, random_image)
+            _run(engine, random_image)
 
 
 class TestSIMDModel:

@@ -191,14 +191,14 @@ class TestPipelineIntegration:
         np.testing.assert_array_equal(outs[0], ref)
 
     def test_shared_tables_carry_tier(self, small_field, random_image):
-        from repro.parallel.shmseg import SharedTables, attach_tables
+        from repro.parallel.shmseg import SharedTables, attach_planar_tables
         lut = RemapLUT(small_field).with_tier("fixed")
         st = SharedTables(lut)
         try:
             assert "qwtab" in st.spec
             assert st.meta["tier"] == "fixed"
             assert st.meta["frac_bits"] == lut.frac_bits
-            segments, _, worker_lut = attach_tables(st.spec, st.meta)
+            segments, (worker_lut,) = attach_planar_tables(st.spec, st.meta)
             try:
                 assert worker_lut.tier == "fixed"
                 np.testing.assert_array_equal(worker_lut.apply(random_image),

@@ -19,7 +19,7 @@ from repro.core.pipeline import FisheyeCorrector
 from repro.core.remap import RemapLUT, remap_profiled
 from repro.obs.logsetup import LOG_LEVELS, configure_logging, get_logger
 from repro.obs.telemetry import Telemetry, disable, enable, get_telemetry, scoped
-from repro.parallel.procpool import SharedMemoryExecutor
+from repro.parallel.ring import RingEngine
 from repro.video.io import read_pgm
 
 pytestmark = pytest.mark.tier1
@@ -129,35 +129,41 @@ class TestCrossProcessMerge:
     def test_worker_deltas_merge_into_parent(self, context, small_field,
                                              gradient_image):
         lut = RemapLUT(small_field, method="bilinear")
+        expected = lut.apply(gradient_image)
         tel = enable()
         try:
-            with SharedMemoryExecutor(lut, gradient_image.shape,
-                                      gradient_image.dtype, workers=2,
-                                      context=context) as ex:
-                expected = lut.apply(gradient_image)
-                for _ in range(2):
-                    result = ex.run(lut, gradient_image)
-                np.testing.assert_array_equal(result, expected)
-                snap = tel.snapshot()
+            with RingEngine(lut, gradient_image.shape, gradient_image.dtype,
+                            workers=2, depth=2, context=context) as engine:
+                results = [f.copy() for f in
+                           engine.stream([gradient_image] * 2)]
+            snap = tel.snapshot()
         finally:
             disable()
-        assert snap["counters"]["executor.frames"] == 2
-        bands = snap["counters"]["executor.bands"]
-        assert bands >= 2
-        # the per-band timings were recorded in the *workers* and
-        # shipped back as drain() deltas — their total count proves the
-        # merge happened (works identically under fork and spawn)
-        assert snap["histograms"]["executor.band_seconds"]["count"] == bands
-        assert snap["histograms"]["executor.frame_seconds"]["count"] == 2
-        assert snap["histograms"]["executor.fanout_seconds"]["count"] == 2
-        frame_spans = [s for s in snap["spans"] if s["name"] == "executor.frame"]
+        assert len(results) == 2
+        for result in results:
+            np.testing.assert_array_equal(result, expected)
+        assert snap["counters"]["ring.frames"] == 2
+        # the band counter and per-band timings were recorded in the
+        # *workers* and shipped back as drain() deltas — their totals
+        # prove the merge happened (works identically under fork and
+        # spawn)
+        bands = snap["counters"]["ring.bands"]
+        assert bands == 2 * len(engine.bands)
+        assert snap["histograms"]["ring.band_seconds"]["count"] == bands
+        busy = [k for k in snap["counters"]
+                if k.startswith("ring.worker.") and k.endswith(".busy_seconds")]
+        assert busy
+        band_spans = [s for s in snap["spans"] if s["name"] == "ring.band"]
+        assert len(band_spans) == bands
+        frame_spans = [s for s in snap["spans"]
+                       if s["name"] == "frame.lifecycle"]
         assert len(frame_spans) == 2
 
     def test_disabled_executor_records_nothing(self, small_field, gradient_image):
         lut = RemapLUT(small_field, method="bilinear")
-        with SharedMemoryExecutor(lut, gradient_image.shape,
-                                  gradient_image.dtype, workers=2) as ex:
-            ex.run(lut, gradient_image)
+        with RingEngine(lut, gradient_image.shape, gradient_image.dtype,
+                        workers=2, depth=2) as engine:
+            list(engine.stream([gradient_image], copy=True))
         assert get_telemetry().snapshot() == {}
 
 
@@ -305,8 +311,8 @@ class TestLogging:
         assert logger.level == logging.DEBUG
 
     def test_get_logger_namespaced(self):
-        log = get_logger("repro.parallel.procpool")
-        assert log.name == "repro.parallel.procpool"
+        log = get_logger("repro.parallel.ring")
+        assert log.name == "repro.parallel.ring"
         assert get_logger("custom").name == "repro.custom"
 
     def test_levels_cover_argparse_choices(self):

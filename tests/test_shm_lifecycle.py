@@ -1,11 +1,12 @@
 """Tests: shared-memory segment lifecycle survives crashes and GC.
 
-The executors publish named POSIX segments; losing track of one leaks
-it until reboot and makes Python's resource tracker print warnings at
-interpreter exit.  These tests pin the hardened lifecycle: finalizers
-release segments under fork and spawn, after worker crashes, and even
-when an executor is dropped without ``close()`` — with a *subprocess*
-asserting that nothing survives to the tracker's shutdown sweep.
+The ring engine publishes named POSIX segments; losing track of one
+leaks it until reboot and makes Python's resource tracker print
+warnings at interpreter exit.  These tests pin the hardened lifecycle:
+finalizers release segments under fork and spawn, after worker crashes,
+and even when an engine is dropped without ``close()`` — with a
+*subprocess* asserting that nothing survives to the tracker's shutdown
+sweep.
 """
 
 import subprocess
@@ -17,12 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core.remap import RemapLUT
-from repro.parallel.procpool import ProcessExecutor, SharedMemoryExecutor
 from repro.parallel.ring import RingEngine
 from repro.parallel.shmseg import (
-    FrameSegments,
+    PlanarFrameSegments,
     SharedTables,
-    attach_tables,
+    attach_planar_tables,
     release_segments,
     share_array,
 )
@@ -30,8 +30,8 @@ from repro.parallel.shmseg import (
 pytestmark = pytest.mark.tier1
 
 
-def _segment_names(executor):
-    return [shm.name for group in executor._segment_groups
+def _segment_names(engine):
+    return [shm.name for group in engine._segment_groups
             for shm in group._shms]
 
 
@@ -43,7 +43,7 @@ def _assert_unlinked(names):
 
 class TestSegmentGroups:
     def test_release_is_idempotent(self):
-        seg = FrameSegments((8, 8), np.uint8, (8, 8))
+        seg = PlanarFrameSegments([(8, 8)], np.uint8, [(8, 8)])
         name = seg.src_shm.name
         seg.release()
         assert seg.released
@@ -51,7 +51,7 @@ class TestSegmentGroups:
         _assert_unlinked([name])
 
     def test_gc_releases_segments(self):
-        seg = FrameSegments((8, 8), np.uint8, (8, 8))
+        seg = PlanarFrameSegments([(8, 8)], np.uint8, [(8, 8)])
         names = [seg.src_shm.name, seg.dst_shm.name]
         del seg
         _assert_unlinked(names)
@@ -64,7 +64,7 @@ class TestSegmentGroups:
     def test_shared_tables_roundtrip(self, small_field, random_image):
         lut = RemapLUT(small_field, method="bilinear")
         tables = SharedTables(lut)
-        segments, _, attached = attach_tables(tables.spec, tables.meta)
+        segments, (attached,) = attach_planar_tables(tables.spec, tables.meta)
         try:
             np.testing.assert_array_equal(attached.apply(random_image),
                                           lut.apply(random_image))
@@ -75,36 +75,50 @@ class TestSegmentGroups:
 
 
 class TestExecutorLifecycle:
-    @pytest.mark.parametrize("cls", [ProcessExecutor, SharedMemoryExecutor])
-    def test_close_unlinks_every_segment(self, small_field, cls):
+    # one-slot rings (the fork-join configuration) closed after a frame
+    # ran, so the workers hold attachments; the ids are the names these
+    # two cases have always been reported under
+    @pytest.mark.parametrize("context", [
+        pytest.param("fork", id="ProcessExecutor"),
+        pytest.param("spawn", id="SharedMemoryExecutor"),
+    ])
+    def test_close_unlinks_every_segment(self, small_field, random_image,
+                                         context):
         lut = RemapLUT(small_field, method="bilinear")
-        ex = cls(lut, (64, 64), workers=1)
-        names = _segment_names(ex)
+        engine = RingEngine(lut, (64, 64), workers=1, depth=1,
+                            context=context)
+        names = _segment_names(engine)
         assert names
-        ex.close()
+        (out,) = engine.stream([random_image], copy=True)
+        np.testing.assert_array_equal(out, lut.apply(random_image))
+        engine.close()
         _assert_unlinked(names)
 
     def test_dropped_executor_unlinks_via_gc(self, small_field):
         lut = RemapLUT(small_field, method="bilinear")
-        ex = SharedMemoryExecutor(lut, (64, 64), workers=1)
-        names = _segment_names(ex)
-        del ex  # no close(): the finalizers must still fire
+        engine = RingEngine(lut, (64, 64), workers=1, depth=2)
+        names = _segment_names(engine)
+        assert names
+        procs = list(engine._procs)
+        del engine  # no close(): the finalizers must still fire
         import gc
         gc.collect()
         _assert_unlinked(names)
+        for p in procs:
+            p.join(timeout=5.0)
+            assert not p.is_alive()
 
     def test_ring_close_unlinks_every_segment(self, small_field):
         lut = RemapLUT(small_field, method="bilinear")
         engine = RingEngine(lut, (64, 64), workers=1, depth=2)
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
+        names = _segment_names(engine)
         engine.close()
         _assert_unlinked(names)
 
 
-# Run inside a subprocess: build an executor, run one frame, SIGKILL a
-# worker, then exit WITHOUT close() — the tracker's shutdown sweep must
-# find nothing to warn about, and the segments must be gone.
+# Run inside a subprocess: start a stream on a process engine, kill a
+# worker mid-stream, then exit WITHOUT close() — the tracker's shutdown
+# sweep must find nothing to warn about, and the segments must be gone.
 _CRASH_SCRIPT = textwrap.dedent("""
     import sys
 
@@ -114,7 +128,8 @@ _CRASH_SCRIPT = textwrap.dedent("""
     from repro.core.lens import EquidistantLens
     from repro.core.mapping import perspective_map
     from repro.core.remap import RemapLUT
-    from repro.parallel.{module} import {factory}
+    from repro.parallel.ring import RingEngine
+    from repro.serve.broker import StreamBroker
 
     SIZE = 64
     circle = SIZE / 2.0 - 1.0
@@ -127,6 +142,10 @@ _CRASH_SCRIPT = textwrap.dedent("""
     lut = RemapLUT(field, method="bilinear")
     frame = np.arange(SIZE * SIZE, dtype=np.uint8).reshape(SIZE, SIZE)
 
+    def endless():
+        while True:  # only the crash can end this stream
+            yield frame
+
     {body}
 
     print("NAMES:" + ",".join(names))
@@ -134,27 +153,9 @@ _CRASH_SCRIPT = textwrap.dedent("""
     # deliberately no close(): rely on finalizers + atexit
 """)
 
-_EXECUTOR_BODY = """
-import time
-ex = SharedMemoryExecutor(lut, (SIZE, SIZE), workers=2, context="{context}")
-ex.run(lut, frame)
-# kill the workers MID-TASK (an idle pool worker blocks in get() holding
-# the inqueue lock; killing it there deadlocks Pool teardown — a CPython
-# limitation, not what this test pins down)
-ex._pool.map_async(time.sleep, [5.0, 5.0])
-time.sleep(0.5)
-for p in ex._pool._pool:
-    p.terminate()  # crash every worker mid-remap
-names = [shm.name for group in ex._segment_groups for shm in group._shms]
-"""
 
 _RING_BODY = """
 engine = RingEngine(lut, (SIZE, SIZE), workers=2, depth=2, context="{context}")
-
-def endless():
-    while True:  # only the crash can end this stream
-        yield frame
-
 try:
     for k, _ in enumerate(engine.stream(endless())):
         if k == 1:
@@ -164,10 +165,24 @@ except Exception as exc:
 names = [shm.name for group in engine._segment_groups for shm in group._shms]
 """
 
+# the broker's session slots and tables, named before the crash: a
+# failed session releases its slots right away
+_BROKER_BODY = """
+broker = StreamBroker(workers=2, context="{context}")
+session = broker.open(endless(), field, depth=2, copy=False)
+groups = list(session._slots) + [t for t, _ in broker._tables.values()]
+names = [shm.name for group in groups for shm in group._shms]
+try:
+    for k, _ in enumerate(session):
+        if k == 1:
+            broker._procs[0].terminate()
+except Exception as exc:
+    assert type(exc).__name__ == "StreamError", exc
+"""
 
-def _run_crash_script(module, factory, body, context):
-    script = _CRASH_SCRIPT.format(module=module, factory=factory,
-                                  body=body.format(context=context))
+
+def _run_crash_script(body, context):
+    script = _CRASH_SCRIPT.format(body=body.format(context=context))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -183,16 +198,15 @@ class TestCrashedWorkerLeavesNoLeak:
 
     @pytest.mark.parametrize("context", ["fork", "spawn"])
     def test_executor_crash_no_tracker_warnings(self, context):
-        names, stderr = _run_crash_script(
-            "procpool", "SharedMemoryExecutor", _EXECUTOR_BODY, context)
+        """A crashed worker of the multi-stream broker's fleet."""
+        names, stderr = _run_crash_script(_BROKER_BODY, context)
         assert "resource_tracker" not in stderr, stderr
         assert "leaked" not in stderr, stderr
         _assert_unlinked(names)
 
     @pytest.mark.parametrize("context", ["fork", "spawn"])
     def test_ring_crash_no_tracker_warnings(self, context):
-        names, stderr = _run_crash_script(
-            "ring", "RingEngine", _RING_BODY, context)
+        names, stderr = _run_crash_script(_RING_BODY, context)
         assert "resource_tracker" not in stderr, stderr
         assert "leaked" not in stderr, stderr
         _assert_unlinked(names)
@@ -220,8 +234,7 @@ class TestEarlyStreamClose:
 
     def test_generator_close_stops_workers_and_unlinks(self, small_field):
         engine, gen = self._engine_and_stream(small_field)
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
+        names = _segment_names(engine)
         next(gen)
         next(gen)
         gen.close()  # early abandon: consumer walks away mid-stream
@@ -233,8 +246,7 @@ class TestEarlyStreamClose:
 
     def test_break_out_of_for_loop_unlinks(self, small_field):
         engine, gen = self._engine_and_stream(small_field)
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
+        names = _segment_names(engine)
         for k, _ in enumerate(gen):
             if k == 1:
                 break
@@ -273,8 +285,7 @@ class TestEarlyStreamClose:
         assert len(engines) == 1
         engine = engines[0]
         assert engine._closed
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
+        names = _segment_names(engine)
         for p in engine._procs:
             p.join(timeout=5.0)
             assert not p.is_alive()

@@ -202,7 +202,7 @@ class TestChromaCacheKeys:
 class TestPlanarSegments:
     def test_roundtrip_through_attached_views(self):
         from repro.parallel.shmseg import (PlanarFrameSegments,
-                                           attach_any_slot)
+                                           attach_planar_slot)
 
         shapes = YUV420Frame.plane_shapes(16, 12)
         seg = PlanarFrameSegments(shapes, np.uint8, shapes)
@@ -212,27 +212,11 @@ class TestPlanarSegments:
                       for s in shapes]
             for view, plane in zip(seg.src_views, planes):
                 np.copyto(view, plane)
-            segs, srcs, dsts = attach_any_slot(seg.spec)
+            segs, srcs, dsts = attach_planar_slot(seg.spec)
             try:
                 assert len(srcs) == len(dsts) == 3
                 for got, want in zip(srcs, planes):
                     assert np.array_equal(got, want)
-            finally:
-                for s in segs:
-                    s.close()
-        finally:
-            seg.release()
-
-    def test_attach_any_slot_wraps_flat_slots(self, small_field):
-        from repro.parallel.shmseg import FrameSegments, attach_any_slot
-
-        lut = RemapLUT(small_field)
-        seg = FrameSegments(lut.src_shape, np.uint8, lut.out_shape)
-        try:
-            segs, srcs, dsts = attach_any_slot(seg.spec)
-            try:
-                assert len(srcs) == len(dsts) == 1
-                assert srcs[0].shape == lut.src_shape
             finally:
                 for s in segs:
                     s.close()
@@ -256,21 +240,6 @@ class TestPlanarSegments:
                                       corr.luma_lut.apply(f.y))
                 assert np.array_equal(luts[1].apply(f.u),
                                       corr.chroma_lut.apply(f.u))
-            finally:
-                for s in segs:
-                    s.close()
-        finally:
-            tables.release()
-
-    def test_flat_attach_ignores_chroma_keys(self, small_field):
-        from repro.parallel.shmseg import SharedTables, attach_tables
-
-        corr = YUVCorrector.from_field(small_field)
-        tables = SharedTables(corr.luma_lut, chroma=corr.chroma_lut)
-        try:
-            segs, _, lut = attach_tables(tables.spec, tables.meta)
-            try:
-                assert lut.out_shape == corr.luma_lut.out_shape
             finally:
                 for s in segs:
                     s.close()
