@@ -12,7 +12,7 @@ Since the kernel-tier work this is no longer only a modeled study:
 the same Q-format arithmetic is a *shipping* execution path.
 :meth:`FixedPointLUT.apply` (and its zero-copy twins
 :meth:`~FixedPointLUT.apply_into` / :meth:`~FixedPointLUT
-.apply_rows_into`) run the vectorised block engine in
+.apply_rows_into`) run the tiled planar gather-MAC loop in
 :mod:`repro.core.kernel_tiers`, and :class:`~repro.core.remap.RemapLUT`
 executes the identical arithmetic when switched to its ``fixed`` or
 ``compiled`` tier — bit-exact across all three entry points.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InterpolationError, MappingError
-from .kernel_tiers import q_apply_block
+from .kernel_tiers import ScratchPool, gather_mac
 from .mapping import RemapField
 from .remap import RemapLUT
 
@@ -109,6 +109,17 @@ class FixedPointLUT:
         self.qweights = quantize_weights(base.weights, frac_bits)
         self._qw_t = None    # lazily (taps, N) transposed view for the engine
         self._inv = None     # lazily ~mask
+        self._pool = ScratchPool()
+
+    # the scratch pool is per-process state; drop it when pickled
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_pool"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._pool = ScratchPool()
 
     @property
     def taps(self) -> int:
@@ -141,7 +152,7 @@ class FixedPointLUT:
         return (32 + frac_fields * self.frac_bits) / 8.0
 
     # ------------------------------------------------------------------
-    # execution (shared Q-format block engine)
+    # execution (the shared tiled gather-MAC loop)
     # ------------------------------------------------------------------
     def _qw_transposed(self):
         if self._qw_t is None:
@@ -163,9 +174,8 @@ class FixedPointLUT:
             raise MappingError(
                 f"frame {image.shape[:2]} does not match LUT source {self.src_shape}")
         squeeze = image.ndim == 2
-        acc_dtype = np.int64 if image.dtype.itemsize > 1 else np.int32
-        flat = image.reshape(
-            self.src_shape[0] * self.src_shape[1], -1).astype(acc_dtype, copy=False)
+        flat = np.ascontiguousarray(
+            image.reshape(self.src_shape[0] * self.src_shape[1], -1))
         w_out = self.out_shape[1]
         if row0 is None:
             sl = slice(None)
@@ -173,8 +183,6 @@ class FixedPointLUT:
         else:
             sl = slice(row0 * w_out, row1 * w_out)
             shape2d = (row1 - row0, w_out)
-        idx = self.indices[sl]
-        n = idx.shape[0]
         channels = flat.shape[1]
         expected = shape2d if squeeze else shape2d + (channels,)
         if out is not None and (out.shape != expected or out.dtype != image.dtype):
@@ -185,20 +193,9 @@ class FixedPointLUT:
         invalid = self._invalid_mask()
         if invalid is not None and row0 is not None:
             invalid = invalid[sl]
-        info = np.iinfo(image.dtype)
-        acc = np.empty((n, channels), dtype=acc_dtype)
-        scratch = np.empty_like(acc)
-        if result.flags.c_contiguous:
-            q_apply_block(flat, idx, self._qw_transposed()[:, sl],
-                          self.frac_bits, info.min, info.max, invalid,
-                          self.fill, result.reshape(n, -1), acc, scratch)
-        else:
-            tmp = np.empty(expected, dtype=image.dtype)
-            q_apply_block(flat, idx, self._qw_transposed()[:, sl],
-                          self.frac_bits, info.min, info.max, invalid,
-                          self.fill, tmp.reshape(n, -1), acc, scratch)
-            np.copyto(result, tmp)
-        return result
+        return gather_mac(flat, self.indices[sl], self._qw_transposed()[:, sl],
+                          result, self._pool, frac_bits=self.frac_bits,
+                          fill=self.fill, invalid=invalid)
 
     def apply(self, image, out=None):
         """Correct an integer frame entirely in integer arithmetic.

@@ -21,9 +21,10 @@ nearest), from which the per-tap weight vectors are derived — the same
 entry the paper DMAs to a Cell SPE or streams through a GPU texture
 path.  :meth:`RemapLUT.entry_bytes` prices exactly this layout.
 
-Frame application is a fused gather-multiply-accumulate
-(:meth:`RemapLUT.apply`) that reuses pooled scratch buffers, so
-steady-state streaming performs **zero allocations**:
+Frame application is the tiled planar gather-multiply-accumulate loop
+:func:`repro.core.kernel_tiers.gather_mac`, which reuses pooled
+tile-sized scratch buffers, so steady-state streaming performs **zero
+allocations**:
 
 - ``apply(image)``            returns a fresh output array;
 - ``apply(image, out=buf)`` / ``apply_into(image, buf)``
@@ -39,14 +40,16 @@ all three against the scalar oracle.
 
 When a :mod:`repro.obs` registry is enabled the kernel reports
 ``remap.frames`` / ``remap.bands`` / ``remap.pixels`` /
-``remap.bytes_gathered`` counters and ``remap.apply_seconds`` /
+``remap.bytes_gathered`` (source-sample bytes, equal to
+:meth:`RemapLUT.traffic_per_frame`'s ``gather_bytes``) counters and
+``remap.apply_seconds`` /
 ``remap.band_seconds`` latency histograms; the disabled registry costs
 one branch per call (never per pixel), which the overhead gate in
 ``benchmarks/check_regression.py`` enforces.
 
 Execution is *tiered* (:mod:`repro.core.kernel_tiers`): every LUT
-carries a ``tier`` — ``numpy`` (the float fused kernel below),
-``fixed`` (Q-format integer arithmetic, tile-blocked) or ``compiled``
+carries a ``tier`` — ``numpy`` (float arithmetic), ``fixed``
+(Q-format integer arithmetic; both run the same loop) or ``compiled``
 (the Numba kernel in :mod:`repro.accel.compiled`) — selected at build
 time or re-selected cheaply with :meth:`RemapLUT.with_tier`, which
 shares the underlying tables.  Q tiers apply to integer frames; float
@@ -57,7 +60,6 @@ show which rung actually ran.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -132,71 +134,6 @@ class StageProfile:
             "store": self.store,
             "total": self.total,
         }
-
-
-class _ScratchPool:
-    """Thread-safe pool of (accumulator, gather) scratch buffer pairs.
-
-    The fused kernel borrows a pair per call and returns it afterwards,
-    so a steady-state stream touches the allocator only on its first
-    frame.  Keys are ``(rows, channels, dtype)`` — concurrent tile
-    workers with equal band sizes each get their own pair.
-    """
-
-    _MAX_PER_KEY = 8  # bound idle memory under bursty concurrency
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._free = {}
-
-    def acquire(self, n: int, channels: int, dtype):
-        key = (n, channels, np.dtype(dtype).str)
-        with self._lock:
-            stack = self._free.get(key)
-            if stack:
-                return stack.pop()
-        return (np.empty((n, channels), dtype=dtype),
-                np.empty((n, channels), dtype=dtype))
-
-    def release(self, pair):
-        acc = pair[0]
-        key = (acc.shape[0], acc.shape[1], acc.dtype.str)
-        with self._lock:
-            stack = self._free.setdefault(key, [])
-            if len(stack) < self._MAX_PER_KEY:
-                stack.append(pair)
-
-
-def _store_epilogue(acc, invalid, fill, dtype, out_shape, squeeze,
-                    out=None, tel=None):
-    """Shared store stage: fill, round, clip, cast, (optionally) emit.
-
-    ``acc`` is the float accumulator, reshaped — never returned — so the
-    caller can recycle it.  With ``out`` the destination buffer is
-    written directly; otherwise a fresh array of ``dtype`` is returned.
-    ``tel`` (a stage-detail telemetry registry) wraps the stage in a
-    ``remap.store`` span for the profiled path.
-    """
-    span = tel.span("remap.store", cat="kernel") if tel is not None else None
-    if span is not None:
-        span.__enter__()
-    if invalid is not None:
-        np.copyto(acc, fill, where=invalid[:, None])
-    if np.issubdtype(dtype, np.integer):
-        info = np.iinfo(dtype)
-        np.rint(acc, out=acc)
-        np.clip(acc, info.min, info.max, out=acc)
-    view = acc.reshape(out_shape + (acc.shape[1],))
-    if squeeze:
-        view = view[..., 0]
-    if out is not None:
-        np.copyto(out, view, casting="unsafe")
-        result = out
-    else:
-        result = view.astype(dtype, copy=True)
-    if span is not None:
-        span.__exit__(None, None, None)
-    return result
 
 
 class RemapLUT:
@@ -297,7 +234,7 @@ class RemapLUT:
         self._invalid = None       # lazily ~mask
         self._wtab = None          # lazily derived (taps, N) weight table
         self._qwtab = None         # lazily derived (taps, N) int16 Q weights
-        self._pool = _ScratchPool()
+        self._pool = kernel_tiers.ScratchPool()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -333,7 +270,7 @@ class RemapLUT:
         self._invalid = None
         self._wtab = weight_table
         self._qwtab = qweight_table
-        self._pool = _ScratchPool()
+        self._pool = kernel_tiers.ScratchPool()
         return self
 
     def with_tier(self, tier: str,
@@ -375,7 +312,7 @@ class RemapLUT:
         self.__dict__.setdefault("tier", "numpy")
         self.__dict__.setdefault("frac_bits", kernel_tiers.DEFAULT_FRAC_BITS)
         self.__dict__.setdefault("_qwtab", None)
-        self._pool = _ScratchPool()
+        self._pool = kernel_tiers.ScratchPool()
 
     # ------------------------------------------------------------------
     @property
@@ -517,66 +454,19 @@ class RemapLUT:
         return self._qwtab
 
     # ------------------------------------------------------------------
-    # The fused kernel
+    # Frame application (the shared tiled gather-MAC loop)
     # ------------------------------------------------------------------
-    def _prepare(self, image, tier: str = "numpy"):
+    def _prepare(self, image):
         image = np.asarray(image)
         if image.shape[:2] != self.src_shape:
             raise MappingError(
                 f"frame {image.shape[:2]} does not match LUT source {self.src_shape}")
         squeeze = image.ndim == 2
         n_src = self.src_shape[0] * self.src_shape[1]
-        if tier == "numpy":
-            # Accumulate in float32 (the embedded-precision baseline)
-            # except for float64 frames, which keep their native
-            # precision instead of a lossy float32 round-trip.
-            acc_dtype = np.float64 if image.dtype == np.float64 else np.float32
-            flat = image.reshape(n_src, -1).astype(acc_dtype, copy=False)
-        else:
-            # Q tiers: int32 accumulate covers 1-byte samples at Q14
-            # with 16 taps; wider samples need int64.
-            acc_dtype = np.int64 if image.dtype.itemsize > 1 else np.int32
-            if tier == "compiled":
-                # the jitted kernel gathers the raw samples — no
-                # conversion pass over the source at all
-                flat = np.ascontiguousarray(image.reshape(n_src, -1))
-            else:
-                flat = image.reshape(n_src, -1).astype(acc_dtype, copy=False)
-        return image, flat, squeeze, acc_dtype
-
-    def _accumulate(self, flat, idx, wtab, acc, scratch, tel=None):
-        """Fused gather-multiply-accumulate into preallocated ``acc``.
-
-        ``tel`` is a stage-detail telemetry registry (or ``None`` on the
-        shipping fast path): when present each gather/interpolate stage
-        is wrapped in a span — the profiled path times exactly this
-        kernel, never a re-implementation.
-        """
-        if wtab is None:  # nearest: one unweighted gather, straight into acc
-            if tel is None:
-                flat.take(idx[:, 0], axis=0, out=acc, mode="clip")
-            else:
-                with tel.span("remap.gather", cat="kernel"):
-                    flat.take(idx[:, 0], axis=0, out=acc, mode="clip")
-            return
-        taps = idx.shape[1]
-        if tel is None:
-            flat.take(idx[:, 0], axis=0, out=scratch, mode="clip")
-            np.multiply(scratch, wtab[0][:, None], out=acc)
-            for k in range(1, taps):
-                flat.take(idx[:, k], axis=0, out=scratch, mode="clip")
-                np.multiply(scratch, wtab[k][:, None], out=scratch)
-                np.add(acc, scratch, out=acc)
-            return
-        for k in range(taps):
-            with tel.span("remap.gather", cat="kernel"):
-                flat.take(idx[:, k], axis=0, out=scratch, mode="clip")
-            with tel.span("remap.interpolate", cat="kernel"):
-                if k == 0:
-                    np.multiply(scratch, wtab[0][:, None], out=acc)
-                else:
-                    np.multiply(scratch, wtab[k][:, None], out=scratch)
-                    np.add(acc, scratch, out=acc)
+        # every tier gathers the raw samples: no conversion pass over
+        # the source frame
+        flat = np.ascontiguousarray(image.reshape(n_src, -1))
+        return image, flat, squeeze
 
     def _run(self, image, row0=None, row1=None, out=None):
         """Shared implementation of apply/apply_rows/profiled apply."""
@@ -589,7 +479,7 @@ class RemapLUT:
             # Q-format arithmetic is an integer-frame contract; float
             # pipelines keep full precision on the numpy path.
             tier = "numpy"
-        image, flat, squeeze, acc_dtype = self._prepare(image, tier)
+        image, flat, squeeze = self._prepare(image)
         h_out, w_out = self.out_shape
         if row0 is None:
             sl = slice(None)
@@ -600,33 +490,30 @@ class RemapLUT:
             n = sl.stop - sl.start
             shape2d = (row1 - row0, w_out)
         channels = flat.shape[1]
-        if out is not None:
-            expected = shape2d if squeeze else shape2d + (channels,)
-            if out.shape != expected or out.dtype != image.dtype:
-                raise MappingError(
-                    f"output buffer {out.shape}/{out.dtype} does not match "
-                    f"{expected}/{image.dtype}")
+        expected = shape2d if squeeze else shape2d + (channels,)
+        if out is not None and (out.shape != expected or out.dtype != image.dtype):
+            raise MappingError(
+                f"output buffer {out.shape}/{out.dtype} does not match "
+                f"{expected}/{image.dtype}")
+        result = out if out is not None else np.empty(expected, dtype=image.dtype)
         idx = self.indices[sl]
-        invalid = self._invalid_mask()
-        if invalid is not None and row0 is not None:
-            invalid = invalid[sl]
-        if tier == "numpy":
-            wtab = self._weight_table()
+        if tier == "compiled":
+            self._run_compiled(flat, idx, sl, result, w_out)
+        else:
+            invalid = self._invalid_mask()
+            if invalid is not None and row0 is not None:
+                invalid = invalid[sl]
+            if tier == "fixed":
+                wtab, bits, fill = (self._qweight_table(), self.frac_bits,
+                                    int(round(self.fill)))
+            else:
+                wtab, bits, fill = self._weight_table(), None, self.fill
             if wtab is not None and row0 is not None:
                 wtab = wtab[:, sl]
-            pair = self._pool.acquire(n, channels, acc_dtype)
-            try:
-                acc, scratch = pair
-                detail = tel if tel.stage_detail else None
-                self._accumulate(flat, idx, wtab, acc, scratch, tel=detail)
-                result = _store_epilogue(acc, invalid, self.fill, image.dtype,
-                                         shape2d, squeeze, out=out, tel=detail)
-            finally:
-                self._pool.release(pair)
-        else:
-            result = self._run_q(tier, flat, idx, sl, invalid, image.dtype,
-                                 shape2d, squeeze, channels, acc_dtype,
-                                 w_out, out)
+            kernel_tiers.gather_mac(
+                flat, idx, wtab, result, self._pool, frac_bits=bits,
+                fill=fill, invalid=invalid,
+                tel=tel if tel.stage_detail else None)
         if tel.enabled:
             dt = time.perf_counter() - t0
             tel.counter(f"kernel.tier.{tier}").inc()
@@ -639,56 +526,31 @@ class RemapLUT:
                 tel.counter("remap.bands").inc()
                 tel.histogram("remap.band_seconds").observe(dt)
             tel.counter("remap.pixels").inc(n)
+            # source-sample bytes, as priced by traffic_per_frame
             tel.counter("remap.bytes_gathered").inc(
-                n * self.indices.shape[1] * channels * flat.dtype.itemsize)
+                n * self.indices.shape[1] * channels * image.dtype.itemsize)
         return result
 
-    def _run_q(self, tier, flat, idx, sl, invalid, dtype, shape2d, squeeze,
-               channels, acc_dtype, w_out, out):
-        """The Q-format (fixed/compiled) execution paths.
+    def _run_compiled(self, flat, idx, sl, result, w_out):
+        """The compiled tier: the jitted Q-format kernel over the rows.
 
-        Both share the quantized ``(taps, N)`` int16 weight table and
-        the FixedPointLUT arithmetic contract: wide-int accumulate,
-        ``+half`` then one arithmetic shift, clip, fill.  The numpy
-        ``fixed`` tier walks the output in row blocks
-        (:data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS`) so the
-        accumulator and each block's source bounding box stay
-        cache-resident; the ``compiled`` tier tiles in 2-D inside the
-        jitted kernel itself.
+        It shares the quantized ``(taps, N)`` int16 weight table and the
+        FixedPointLUT arithmetic contract with the ``fixed`` tier
+        (wide-int accumulate, ``+half`` then one arithmetic shift,
+        clip, fill) and tiles in 2-D inside the kernel itself.
         """
-        qw = self._qweight_table()[:, sl]
-        info = np.iinfo(dtype)
-        fill = int(round(self.fill))
-        n = idx.shape[0]
-        result = out if out is not None else np.empty(
-            shape2d if squeeze else shape2d + (channels,), dtype=dtype)
-        if not result.flags.c_contiguous:
-            # strided destination (rare): compute into a fresh frame,
-            # then let copyto deal with the strides
-            tmp = self._run_q(tier, flat, idx, sl, invalid, dtype, shape2d,
-                              squeeze, channels, acc_dtype, w_out, None)
-            np.copyto(result, tmp)
-            return result
-        out_flat = result.reshape(n, -1)
-        if tier == "compiled":
-            from ..accel.compiled import compiled_apply_block
-            valid = self.mask[sl] if self.mask is not None else None
-            compiled_apply_block(flat, idx, qw, valid, fill, self.frac_bits,
-                                 info.min, info.max, out_flat, w_out)
-            return result
-        tile = kernel_tiers.DEFAULT_TILE_ROWS * w_out
-        for b0 in range(0, n, tile):
-            b1 = min(b0 + tile, n)
-            pair = self._pool.acquire(b1 - b0, channels, acc_dtype)
-            try:
-                kernel_tiers.q_apply_block(
-                    flat, idx[b0:b1], qw[:, b0:b1], self.frac_bits,
-                    info.min, info.max,
-                    invalid[b0:b1] if invalid is not None else None,
-                    fill, out_flat[b0:b1], pair[0], pair[1])
-            finally:
-                self._pool.release(pair)
-        return result
+        from ..accel.compiled import compiled_apply_block
+        info = np.iinfo(result.dtype)
+        target = (result if result.flags.c_contiguous
+                  else np.empty(result.shape, dtype=result.dtype))
+        valid = self.mask[sl] if self.mask is not None else None
+        compiled_apply_block(flat, idx, self._qweight_table()[:, sl], valid,
+                             int(round(self.fill)), self.frac_bits,
+                             info.min, info.max,
+                             target.reshape(idx.shape[0], -1), w_out)
+        if target is not result:
+            # strided destination (rare): let copyto deal with the strides
+            np.copyto(result, target)
 
     # ------------------------------------------------------------------
     def apply(self, image, out=None):
@@ -752,7 +614,7 @@ def remap_profiled(image, field: RemapField, method: str = "bilinear",
     gather (source fetches), interpolate (weighted accumulate), store
     (fill, rounding, dtype cast).  The stage times come from the
     :mod:`repro.obs` span API: a private stage-detail registry is
-    scoped in and the *shipping fused kernel* emits ``remap.gather`` /
+    scoped in and the *shipping kernel loop* emits ``remap.gather`` /
     ``remap.interpolate`` / ``remap.store`` spans as it runs — the
     profile reflects exactly the code path :meth:`RemapLUT.apply`
     executes, not a parallel re-implementation, and cannot drift from

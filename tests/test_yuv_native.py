@@ -95,6 +95,33 @@ class TestPooledCorrect:
         # no per-frame plane allocations: only trace bookkeeping noise
         assert grown < 16 * 1024
 
+    @pytest.mark.parametrize("tier", ["numpy", "fixed"])
+    def test_rgb_band_steady_state_allocates_nothing(self, small_field,
+                                                     tier):
+        # the ring's band primitive on packed RGB: one band spans more
+        # than one kernel tile, the other less than one
+        lut = RemapLUT(small_field, method="bilinear", tier=tier)
+        rng = np.random.default_rng(0)
+        frames = [rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
+                  for _ in range(4)]
+        out = np.empty((64, 64, 3), dtype=np.uint8)
+
+        def correct(frame):
+            for r0, r1 in ((0, 40), (40, 64)):
+                lut.apply_rows_into(frame, r0, r1, out[r0:r1])
+
+        correct(frames[0])  # warm the pool and weight tables
+        correct(frames[1])
+        tracemalloc.start()
+        before = tracemalloc.take_snapshot()
+        for f in frames:
+            correct(f)
+        after = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        grown = sum(d.size_diff for d in after.compare_to(before, "filename")
+                    if d.size_diff > 0)
+        assert grown < 16 * 1024
+
     def test_copy_false_aliases_pool(self, small_field):
         corr = YUVCorrector.from_field(small_field)
         rng = np.random.default_rng(1)
